@@ -20,16 +20,18 @@ is more credible). Four operators are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .relations import (
     Relation,
     UniverseMismatchError,
     WorldUniverse,
-    relation,
     transitive_closure,
     union_all,
 )
 from .states import BeliefState
+
+Level = tuple[int, Relation]
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,46 @@ def un(p: Profile) -> Relation:
 
 
 def agr_un(p: Profile) -> BeliefState:
-    """Equal-credibility aggregation: transitive closure of the union."""
-    return BeliefState.from_relation(transitive_closure(un(p)))
+    """Equal-credibility aggregation: transitive closure of the union.
+
+    The union of modular relations is modular and closure keeps it so,
+    so the result is a belief state by construction.
+    """
+    return BeliefState(transitive_closure(un(p)))
+
+
+def refine(u: WorldUniverse, per_rank: Mapping[int, Relation]) -> list[Level]:
+    """Refinement across ranks, split by rank, highest first.
+
+    Rank r keeps the pairs of ``per_rank[r]`` on which no higher rank
+    holds an opinion in either direction; ranks left with no pair are
+    dropped. A pair kept at rank r appears at no higher rank, so r is the
+    highest rank supporting it.
+    """
+    opinion = [0] * len(u)  # pairs a higher rank relates, either way round
+    levels = []
+    ranks = sorted(per_rank, reverse=True)
+    for k, rank in enumerate(ranks):
+        rel = per_rank[rank]
+        kept = tuple([row & ~o for row, o in zip(rel.rows, opinion)])
+        if any(kept):
+            levels.append((rank, rel if kept == rel.rows else Relation(u, kept)))
+        if k + 1 < len(ranks):
+            opinion = [o | row | col for o, row, col in zip(opinion, rel.rows, rel.cols)]
+    return levels
+
+
+def _rank_unions(p: Profile) -> dict[int, Relation]:
+    return {
+        rank: union_all([s.state.relation for s in p.sources if s.rank == rank])
+        for rank in p.ranks()
+    }
+
+
+def refinement_levels(p: Profile) -> list[Level]:
+    """``agr_rf`` split by pedigree label: (rank, pairs) per rank, highest
+    first, each pair under the highest rank of a source asserting it."""
+    return refine(p.universe, _rank_unions(p))
 
 
 def agr_rf(p: Profile) -> Relation:
@@ -109,39 +149,21 @@ def agr_rf(p: Profile) -> Relation:
     Always modular; transitive (hence a belief state) whenever the ranks
     are strictly ordered.
     """
-    pairs = set()
-    for s in p.sources:
-        higher = [t for t in p.sources if t.rank > s.rank]
-        for x, y in s.state.relation.pairs:
-            if all(t.agnostic(x, y) for t in higher):
-                pairs.add((x, y))
-    return relation(p.universe, pairs)
+    return union_all([rel for _, rel in refinement_levels(p)], p.universe)
 
 
 def agr(p: Profile) -> BeliefState:
     """Rank-based aggregation: transitive closure of the refinement.
 
     Coincides with agr_un when all ranks are equal and with agr_rf when
-    ranks are strictly ordered.
+    ranks are strictly ordered. The refinement is modular and closure
+    keeps it so, so the result is a belief state by construction.
     """
-    return BeliefState.from_relation(transitive_closure(agr_rf(p)))
+    return BeliefState(transitive_closure(agr_rf(p)))
 
 
 def agr_star(p: Profile) -> BeliefState:
     """Close each rank's union first, then refine across ranks."""
-    per_rank: dict[int, Relation] = {}
-    for r in p.ranks():
-        members = [s.state.relation for s in p.sources if s.rank == r]
-        per_rank[r] = transitive_closure(union_all(members, p.universe))
-
-    def rank_agnostic(r: int, x: str, y: str) -> bool:
-        rel = per_rank[r]
-        return not rel.has(x, y) and not rel.has(y, x)
-
-    pairs = set()
-    for r, rel in per_rank.items():
-        higher = [r2 for r2 in per_rank if r2 > r]
-        for x, y in rel.pairs:
-            if all(rank_agnostic(r2, x, y) for r2 in higher):
-                pairs.add((x, y))
-    return BeliefState.from_relation(relation(p.universe, pairs))
+    closed = {rank: transitive_closure(rel) for rank, rel in _rank_unions(p).items()}
+    levels = refine(p.universe, closed)
+    return BeliefState.from_relation(union_all([rel for _, rel in levels], p.universe))

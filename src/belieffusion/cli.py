@@ -59,6 +59,13 @@ def _pair_lines(r: Relation) -> list[str]:
     return [f"{x} < {y}" for x, y in r.sorted_pairs()]
 
 
+def _echo_lines(lines: list[str]) -> None:
+    """Write many lines at once; one click.echo per line costs more than
+    computing them on large universes."""
+    if lines:
+        click.echo("\n".join(lines))
+
+
 def _pick_sources(scenario: Scenario, spec: str) -> Profile:
     if spec == "all":
         return scenario.profile
@@ -117,8 +124,7 @@ def aggregate(scenario_path: str, op_name: str, sources_spec: str) -> None:
     result = _OPS[op_name](profile)
     state = result if isinstance(result, BeliefState) else None
     r = result.relation if state else result
-    for line in _pair_lines(r):
-        click.echo(line)
+    _echo_lines(_pair_lines(r))
     if state is None:
         try:
             state = BeliefState.from_relation(r)
@@ -141,9 +147,7 @@ def fuse_cmd(scenario_path: str, agents_spec: str, out_path: str | None) -> None
     fused = fuse([a.pedigree() for a in agents], scenario.universe)
     payload = serialize_pedigree(fused)
     click.echo(payload, nl=False)
-    click.echo("induced")
-    for line in _pair_lines(induced_state(fused).relation):
-        click.echo(line)
+    _echo_lines(["induced", *_pair_lines(induced_state(fused).relation)])
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -16,7 +16,7 @@ insignificant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .relations import UnknownWorldError, WorldUniverse
@@ -257,12 +257,16 @@ class PropUniverse:
     variables: tuple[str, ...]
     universe: WorldUniverse
     valuations: tuple[tuple[str, tuple[bool, ...]], ...]
+    _by_name: dict[str, tuple[bool, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_name", dict(self.valuations))
 
     def valuation(self, world: str) -> dict[str, bool]:
-        for name, bits in self.valuations:
-            if name == world:
-                return dict(zip(self.variables, bits))
-        raise UnknownWorldError(f"unknown world {world!r}")
+        try:
+            return dict(zip(self.variables, self._by_name[world]))
+        except KeyError:
+            raise UnknownWorldError(f"unknown world {world!r}") from None
 
     def rename_world(self, old: str, new: str) -> "PropUniverse":
         if new in self.universe.worlds and new != old:
@@ -305,8 +309,8 @@ def models(pu: PropUniverse, f: Formula) -> frozenset[str]:
         raise UndeclaredVariableError(
             f"undeclared variable(s): {', '.join(sorted(missing))}"
         )
-    out = []
-    for name, bits in pu.valuations:
-        if satisfies(dict(zip(pu.variables, bits)), f):
-            out.append(name)
-    return frozenset(out)
+    return frozenset(
+        name
+        for name, bits in pu.valuations
+        if _evaluate(dict(zip(pu.variables, bits)), f)
+    )

@@ -12,10 +12,11 @@ commutative, and associative, and therefore safe to iterate in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
-from .aggregation import Profile, Source, agr_rf
+from .aggregation import Level, Profile, Source, refine, refinement_levels
+from .bitset import bits
 from .relations import (
     Pair,
     Relation,
@@ -30,53 +31,82 @@ from .states import BeliefState
 Entry = tuple[str, str, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class PedigreedBeliefState:
     """A refined relation whose every pair carries a rank label.
 
-    Entries are kept sorted by universe order, so equality (labels
-    included) is plain value equality.
+    Stored as one relation per rank: ``levels`` lists (rank, pairs) for
+    every rank that labels at least one pair, highest rank first, so
+    equality (labels included) is plain value equality. ``entries`` gives
+    the labeled pairs as (x, y, rank) triples in universe order.
     """
 
     universe: WorldUniverse
-    entries: tuple[Entry, ...]
+    levels: tuple[Level, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        for x, y, r in self.entries:
-            self.universe.index(x)
-            self.universe.index(y)
+    def __init__(self, universe: WorldUniverse, entries: Iterable[Entry]):
+        n = len(universe)
+        by_rank: dict[int, list[int]] = {}
+        seen = [0] * n
+        duplicate = False
+        for x, y, r in entries:
+            i = universe.index(x)
+            bit = 1 << universe.index(y)
             if r < 0:
                 raise ValueError("rank labels must be non-negative")
-        pairs = [(x, y) for x, y, _ in self.entries]
-        if len(set(pairs)) != len(pairs):
+            duplicate = duplicate or bool(seen[i] & bit)
+            seen[i] |= bit
+            by_rank.setdefault(r, [0] * n)[i] |= bit
+        if duplicate:
             raise ValueError("duplicate labeled pair")
-        ordered = tuple(
-            sorted(self.entries, key=lambda e: self.universe.pair_key((e[0], e[1])))
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(
+            self,
+            "levels",
+            tuple((r, Relation(universe, tuple(by_rank[r]))) for r in sorted(by_rank, reverse=True)),
         )
-        object.__setattr__(self, "entries", ordered)
+
+    @classmethod
+    def from_levels(cls, universe: WorldUniverse, levels: Iterable[Level]) -> "PedigreedBeliefState":
+        """Build from non-empty, disjoint levels, highest rank first."""
+        pbs = cls.__new__(cls)
+        object.__setattr__(pbs, "universe", universe)
+        object.__setattr__(pbs, "levels", tuple(levels))
+        return pbs
+
+    @property
+    def entries(self) -> tuple[Entry, ...]:
+        ws = self.universe.worlds
+        out = []
+        for x in range(len(ws)):
+            labeled = sorted((y, r) for r, rel in self.levels for y in bits(rel.rows[x]))
+            out.extend((ws[x], ws[y], r) for y, r in labeled)
+        return tuple(out)
+
+    def __repr__(self) -> str:
+        return f"PedigreedBeliefState(universe={self.universe!r}, entries={self.entries!r})"
 
     def label_map(self) -> dict[Pair, int]:
         return {(x, y): r for x, y, r in self.entries}
 
     def label(self, x: str, y: str) -> int | None:
-        return self.label_map().get((x, y))
+        for r, rel in self.levels:
+            if rel.has(x, y):
+                return r
+        return None
 
     def relation(self) -> Relation:
-        return relation(self.universe, ((x, y) for x, y, _ in self.entries))
+        return union_all([rel for _, rel in self.levels], self.universe)
 
 
 def empty_pedigree(u: WorldUniverse) -> PedigreedBeliefState:
-    return PedigreedBeliefState(u, ())
+    return PedigreedBeliefState.from_levels(u, ())
 
 
 def pedigree_from_sources(p: Profile) -> PedigreedBeliefState:
     """Refine the profile and label each surviving pair with the highest
     rank among the sources asserting it."""
-    refined = agr_rf(p)
-    entries = []
-    for x, y in refined.pairs:
-        entries.append((x, y, max(s.rank for s in p.sources if s.asserts(x, y))))
-    return PedigreedBeliefState(p.universe, tuple(entries))
+    return PedigreedBeliefState.from_levels(p.universe, refinement_levels(p))
 
 
 def induced_state(pbs: PedigreedBeliefState) -> BeliefState:
@@ -86,7 +116,7 @@ def induced_state(pbs: PedigreedBeliefState) -> BeliefState:
 
 def restrict(pbs: PedigreedBeliefState, rank: int) -> Relation:
     """Pairs labeled exactly ``rank``."""
-    return relation(pbs.universe, ((x, y) for x, y, r in pbs.entries if r == rank))
+    return dict(pbs.levels).get(rank) or relation(pbs.universe)
 
 
 def fuse(
@@ -98,6 +128,8 @@ def fuse(
     direction, at a strictly higher rank; its new label is the highest rank
     supporting it. ``u`` is only needed for an empty argument list, where
     the identity element (the empty pedigree) is returned.
+
+    That is the refinement of the per-rank unions of the states' levels.
     """
     if not states:
         if u is None:
@@ -109,25 +141,24 @@ def fuse(
     for s in states:
         if s.universe != base:
             raise UniverseMismatchError("pedigreed states span different universes")
-
-    best: dict[Pair, int] = {}
+    per_rank: dict[int, list[Relation]] = {}
     for s in states:
-        for x, y, r in s.entries:
-            if best.get((x, y), -1) < r:
-                best[(x, y)] = r
-    entries = tuple(
-        (x, y, r) for (x, y), r in best.items() if r >= best.get((y, x), -1)
-    )
-    return PedigreedBeliefState(base, entries)
+        for r, rel in s.levels:
+            per_rank.setdefault(r, []).append(rel)
+    unions = {r: union_all(rels) for r, rels in per_rank.items()}
+    return PedigreedBeliefState.from_levels(base, refine(base, unions))
 
 
 def fuse_equal_rank(states: Sequence[BeliefState]) -> BeliefState:
     """Shortcut when every underlying source shares one rank: the fused
-    induced state is just the closure of the union of induced states."""
+    induced state is just the closure of the union of induced states.
+
+    The union of belief states is modular and closure keeps it so, so the
+    result is a belief state by construction."""
     if not states:
         raise ValueError("need at least one state")
     merged = union_all([s.relation for s in states], states[0].universe)
-    return BeliefState.from_relation(transitive_closure(merged))
+    return BeliefState(transitive_closure(merged))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,24 @@
-"""Finite binary relations over a fixed world set.
+"""Finite binary relations over a fixed world set, stored as row masks.
 
 Everything downstream (belief states, aggregation, fusion) is built on
-ordered pairs over a small finite universe, so relations are kept as plain
-pair sets and every predicate is a direct quantifier sweep. World sets here
-are small by design; clarity and exhaustive-test speed beat asymptotics.
+ordered pairs over a finite universe. A relation over n worlds is an
+n x n boolean matrix kept as one Python int per world: bit y of
+``rows[x]`` is set iff x is related to y, with worlds numbered in universe
+declaration order. Column masks are the transpose, derived once per
+relation when an operation needs them. Every predicate and operation is
+row/column mask algebra, so a check costs O(n) to O(pairs) big-int
+operations rather than a sweep over pairs of pairs. World names appear
+only at the boundary: ``relation(u, pairs)``, ``.pairs``, ``.has`` and
+``sorted_pairs()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
+
+from .bitset import bits, lowest, transpose
 
 Pair = tuple[str, str]
 
@@ -32,7 +41,7 @@ class WorldUniverse:
 
     Iteration order is declaration order and is stable; it keys every
     deterministic ordering in the package (printing, DOT export, wire
-    formats).
+    formats) and numbers the bits of every mask.
     """
 
     worlds: tuple[str, ...]
@@ -65,6 +74,17 @@ class WorldUniverse:
         """Sort key for pairs: universe declaration order, row-major."""
         return (self.index(pair[0]), self.index(pair[1]))
 
+    def mask(self, worlds: Iterable[str]) -> int:
+        """The bit mask of a set of worlds."""
+        m = 0
+        for w in worlds:
+            m |= 1 << self.index(w)
+        return m
+
+    def names(self, mask: int) -> list[str]:
+        """The worlds of a bit mask, in declaration order."""
+        return [self.worlds[i] for i in bits(mask)]
+
 
 def universe(*worlds: str) -> WorldUniverse:
     return WorldUniverse(tuple(worlds))
@@ -72,36 +92,57 @@ def universe(*worlds: str) -> WorldUniverse:
 
 @dataclass(frozen=True)
 class Relation:
-    """A set of ordered world pairs over a shared universe.
+    """A boolean matrix over a universe, one row mask per world.
 
-    Semantically a |W| x |W| boolean membership matrix; stored as a
-    frozenset of (row, column) pairs.
+    ``rows[x]`` has bit y set iff (world x, world y) is in the relation.
+    Build one from world-name pairs with ``relation(u, pairs)``.
     """
 
     universe: WorldUniverse
-    pairs: frozenset[Pair]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for x, y in self.pairs:
-            if x not in self.universe or y not in self.universe:
-                raise UnknownWorldError(f"pair ({x!r}, {y!r}) is not over the universe")
+        object.__setattr__(self, "rows", tuple(self.rows))
+        n = len(self.universe)
+        if len(self.rows) != n or any(row >> n for row in self.rows):
+            raise ValueError(f"a relation over {n} worlds needs {n} row masks below 2**{n}")
+
+    @cached_property
+    def cols(self) -> tuple[int, ...]:
+        """Column masks: bit x of ``cols[y]`` is set iff x is related to y."""
+        return transpose(self.rows)
+
+    @property
+    def pairs(self) -> frozenset[Pair]:
+        return frozenset(self.sorted_pairs())
 
     def __contains__(self, pair: Pair) -> bool:
-        return pair in self.pairs
+        return self.has(*pair)
 
     def has(self, x: str, y: str) -> bool:
-        return (x, y) in self.pairs
+        index = self.universe._index
+        if x not in index or y not in index:
+            return False
+        return bool(self.rows[index[x]] >> index[y] & 1)
 
     def sorted_pairs(self) -> list[Pair]:
-        return sorted(self.pairs, key=self.universe.pair_key)
-
-    def replace_pairs(self, pairs: Iterable[Pair]) -> "Relation":
-        return Relation(self.universe, frozenset(pairs))
+        """The pairs in universe order, row-major."""
+        ws = self.universe.worlds
+        return [(ws[x], ws[y]) for x, row in enumerate(self.rows) for y in bits(row)]
 
 
 def relation(u: WorldUniverse, pairs: Iterable[Pair] = ()) -> Relation:
-    return Relation(u, frozenset(pairs))
+    index = u._index
+    rows = [0] * len(u)
+    for x, y in pairs:
+        if x not in index or y not in index:
+            raise UnknownWorldError(f"pair ({x!r}, {y!r}) is not over the universe")
+        rows[index[x]] |= 1 << index[y]
+    return Relation(u, tuple(rows))
+
+
+def _full(r: Relation) -> int:
+    return (1 << len(r.rows)) - 1
 
 
 @dataclass(frozen=True)
@@ -119,99 +160,111 @@ class PropertyFlags:
 
 
 def classify_properties(r: Relation) -> PropertyFlags:
-    """Evaluate the standard relation properties by direct sweeps.
+    """Evaluate the standard relation properties by row/column algebra.
 
     Quasi-transitivity and acyclicity are evaluated on the strict version
     of ``r``; acyclicity means the strict version has no directed cycle.
     """
-    ws = r.universe.worlds
-    has = r.has
+    rows, cols, full = r.rows, r.cols, _full(r)
+    loops = [row >> x & 1 for x, row in enumerate(rows)]
+    both = [row & col for row, col in zip(rows, cols)]
     strict = strict_version(r)
     strict_reach = transitive_closure(strict)
     return PropertyFlags(
-        reflexive=all(has(x, x) for x in ws),
-        irreflexive=not any(has(x, x) for x in ws),
-        symmetric=all(has(y, x) for (x, y) in r.pairs),
-        asymmetric=not any(has(y, x) for (x, y) in r.pairs),
-        antisymmetric=all(x == y for (x, y) in r.pairs if has(y, x)),
-        total=all(has(x, y) or has(y, x) for x in ws for y in ws),
-        modular=_is_modular(r),
-        transitive=_is_transitive(r),
-        quasi_transitive=_is_transitive(strict),
-        acyclic=not any(strict_reach.has(x, x) for x in ws),
+        reflexive=all(loops),
+        irreflexive=not any(loops),
+        symmetric=rows == cols,
+        asymmetric=not any(both),
+        antisymmetric=all(m & ~(1 << x) == 0 for x, m in enumerate(both)),
+        total=all(row | col == full for row, col in zip(rows, cols)),
+        modular=modularity_witness(r) is None,
+        transitive=transitivity_witness(r) is None,
+        quasi_transitive=transitivity_witness(strict) is None,
+        acyclic=not any(row >> x & 1 for x, row in enumerate(strict_reach.rows)),
     )
-
-
-def _is_modular(r: Relation) -> bool:
-    has = r.has
-    return all(
-        has(x, z) or has(z, y) for (x, y) in r.pairs for z in r.universe.worlds
-    )
-
-
-def _is_transitive(r: Relation) -> bool:
-    has = r.has
-    return all(has(x, z) for (x, y) in r.pairs for (y2, z) in r.pairs if y == y2)
 
 
 def modularity_witness(r: Relation) -> tuple[str, str, str] | None:
-    """A triple (x, y, z) with x r y but neither x r z nor z r y, if any."""
-    for x, y in sorted(r.pairs, key=r.universe.pair_key):
-        for z in r.universe.worlds:
-            if not r.has(x, z) and not r.has(z, y):
-                return (x, y, z)
+    """The first triple (x, y, z) with x r y but neither x r z nor z r y.
+
+    "First" is in ``pair_key`` order of (x, y), then universe order of z:
+    for each pair, the lowest bit of ``~row[x] & ~col[y]``. The answer
+    depends on x only through its row, so a row already found clean is
+    skipped.
+    """
+    rows, cols, full = r.rows, r.cols, _full(r)
+    ws = r.universe.worlds
+    clean: set[int] = set()
+    for x, row in enumerate(rows):
+        outside = full & ~row
+        if not outside or row in clean:
+            continue
+        for y in bits(row):
+            zs = outside & ~cols[y]
+            if zs:
+                return (ws[x], ws[y], ws[lowest(zs)])
+        clean.add(row)
     return None
 
 
 def transitivity_witness(r: Relation) -> tuple[str, str, str] | None:
-    """A triple (x, y, z) with x r y and y r z but not x r z, if any."""
-    for x, y in sorted(r.pairs, key=r.universe.pair_key):
-        for y2, z in sorted(r.pairs, key=r.universe.pair_key):
-            if y == y2 and not r.has(x, z):
-                return (x, y, z)
+    """The first triple (x, y, z) with x r y and y r z but not x r z.
+
+    "First" is in ``pair_key`` order of (x, y), then universe order of z:
+    for each pair, the lowest bit of ``row[y] & ~row[x]``.
+    """
+    rows = r.rows
+    ws = r.universe.worlds
+    clean: set[int] = set()
+    for x, row in enumerate(rows):
+        if row in clean:
+            continue
+        for y in bits(row):
+            zs = rows[y] & ~row
+            if zs:
+                return (ws[x], ws[y], ws[lowest(zs)])
+        clean.add(row)
     return None
 
 
 def strict_version(r: Relation) -> Relation:
     """Keep (x, y) iff the reverse pair is absent (the asymmetric part)."""
-    return r.replace_pairs((x, y) for (x, y) in r.pairs if not r.has(y, x))
+    return Relation(r.universe, tuple(row & ~col for row, col in zip(r.rows, r.cols)))
 
 
 def transitive_closure(r: Relation) -> Relation:
-    """Smallest transitive superset of ``r`` (paths of length >= 1)."""
-    n = len(r.universe)
-    idx = r.universe.index
-    reach = [[False] * n for _ in range(n)]
-    for x, y in r.pairs:
-        reach[idx(x)][idx(y)] = True
+    """Smallest transitive superset of ``r`` (paths of length >= 1).
+
+    Warshall's algorithm over row masks: after step k, row i holds every
+    world reachable from i through intermediates among the first k + 1.
+    """
+    rows = list(r.rows)
+    n = len(rows)
     for k in range(n):
-        row_k = reach[k]
+        row_k = rows[k]
+        if not row_k:
+            continue
+        bit = 1 << k
         for i in range(n):
-            if reach[i][k]:
-                row_i = reach[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    ws = r.universe.worlds
-    return r.replace_pairs(
-        (ws[i], ws[j]) for i in range(n) for j in range(n) if reach[i][j]
-    )
+            if rows[i] & bit:
+                rows[i] |= row_k
+    return Relation(r.universe, tuple(rows))
 
 
 def choice_set(r: Relation, x_set: Iterable[str]) -> frozenset[str]:
     """Elements of ``x_set`` not strictly dominated by any other element.
 
-    Domination is judged by the strict version of ``r``. The subset must be
+    Domination is judged by the strict version of ``r``: x is dominated
+    iff ``col[x] & ~row[x]`` meets the subset. The subset must be
     non-empty; the result is non-empty exactly when ``r`` is acyclic.
     """
     xs = frozenset(x_set)
     if not xs:
         raise EmptySubsetError("choice set of the empty subset is undefined")
-    for x in xs:
-        if x not in r.universe:
-            raise UnknownWorldError(f"unknown world {x!r}")
-    strict = strict_version(r)
-    return frozenset(x for x in xs if not any(strict.has(y, x) for y in xs))
+    u = r.universe
+    subset = u.mask(xs)
+    rows, cols = r.rows, r.cols
+    return frozenset(x for x in xs if not cols[u.index(x)] & ~rows[u.index(x)] & subset)
 
 
 def in_conflict(r: Relation, x: str, y: str) -> bool:
@@ -231,7 +284,8 @@ def union_all(rs: Sequence[Relation], u: WorldUniverse | None = None) -> Relatio
     """Pairwise union of relations sharing one universe.
 
     ``u`` is required only when ``rs`` is empty (the result is then the
-    empty relation over ``u``).
+    empty relation over ``u``). An input that already holds the whole
+    union is returned as is, keeping its derived column masks.
     """
     if not rs:
         if u is None:
@@ -240,9 +294,12 @@ def union_all(rs: Sequence[Relation], u: WorldUniverse | None = None) -> Relatio
     base = rs[0].universe
     if u is not None and u != base:
         raise UniverseMismatchError("explicit universe differs from the relations'")
-    pairs: set[Pair] = set()
-    for r in rs:
+    rows = rs[0].rows
+    for r in rs[1:]:
         if r.universe != base:
             raise UniverseMismatchError("relations span different universes")
-        pairs |= r.pairs
-    return relation(base, pairs)
+        rows = tuple([a | b for a, b in zip(rows, r.rows)])
+    for r in rs:
+        if r.rows == rows:
+            return r
+    return Relation(base, rows)

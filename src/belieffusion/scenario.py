@@ -393,6 +393,7 @@ def serialize_pedigree(pbs: PedigreedBeliefState) -> str:
 
 def parse_pedigree(text: str, universe: WorldUniverse) -> PedigreedBeliefState:
     entries = []
+    seen: set[tuple[str, str]] = set()
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw)
@@ -415,8 +416,9 @@ def parse_pedigree(text: str, universe: WorldUniverse) -> PedigreedBeliefState:
         if not rank_tok.isdigit():
             raise lp.error(f"rank must be a non-negative integer, found {rank_tok!r}", rank_tok)
         lp.done()
-        if any(e[0] == x and e[1] == y for e in entries):
+        if (x, y) in seen:
             raise lp.error(f"duplicate pair {x} < {y}")
+        seen.add((x, y))
         entries.append((x, y, int(rank_tok)))
     if not header_seen:
         raise ParseError(1, 1, "missing 'pedigree' header")

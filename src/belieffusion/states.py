@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bitset import lowest
 from .formulas import Formula, PropUniverse, models
 from .relations import (
     Relation,
@@ -20,7 +21,6 @@ from .relations import (
     choice_set,
     classify_properties,
     modularity_witness,
-    relation,
     strict_version,
     transitivity_witness,
 )
@@ -84,18 +84,15 @@ def agnosticism(b: BeliefState | Relation) -> Relation:
     when a transitive input is also modular (i.e. for belief states).
     """
     r = b.relation if isinstance(b, BeliefState) else b
-    ws = r.universe.worlds
-    return relation(
-        r.universe,
-        ((x, y) for x in ws for y in ws if not r.has(x, y) and not r.has(y, x)),
-    )
+    full = (1 << len(r.rows)) - 1
+    return Relation(r.universe, tuple(full & ~(row | col) for row, col in zip(r.rows, r.cols)))
 
 
 def conflict(b: BeliefState | Relation) -> Relation:
     """Pairs related in both directions; on transitive relations this
     coincides with cycle-based conflict."""
     r = b.relation if isinstance(b, BeliefState) else b
-    return relation(r.universe, ((x, y) for (x, y) in r.pairs if r.has(y, x)))
+    return Relation(r.universe, tuple(row & col for row, col in zip(r.rows, r.cols)))
 
 
 @dataclass(frozen=True)
@@ -116,33 +113,32 @@ def to_layers(b: BeliefState) -> LayeredForm:
     """Decompose a belief state into its layered normal form.
 
     Blocks are the classes of "x and y look the same from every world":
-    x == y iff for every z, (x < z iff y < z) and (z < x iff z < y). The
-    class containing the most likely worlds comes first. The decomposition
-    is unique and round-trips through from_layers.
+    x == y iff they share both their row and their column mask. The class
+    containing the most likely worlds comes first. The decomposition is
+    unique and round-trips through from_layers.
     """
     r = b.relation
-    ws = r.universe.worlds
-
-    def signature(x: str) -> tuple[tuple[bool, bool], ...]:
-        return tuple((r.has(x, z), r.has(z, x)) for z in ws)
-
-    classes: dict[tuple, list[str]] = {}
-    for w in ws:
-        classes.setdefault(signature(w), []).append(w)
-
-    members = list(classes.values())
+    u = r.universe
+    classes: dict[tuple[int, int], int] = {}
+    for x, signature in enumerate(zip(r.rows, r.cols)):
+        classes[signature] = classes.get(signature, 0) | 1 << x
 
     # Block order is forced: distinct classes are strictly comparable, so
-    # a class's position is the number of classes strictly before it.
-    def position(grp: list[str]) -> int:
-        return sum(1 for other in members if other is not grp and r.has(other[0], grp[0]))
+    # a class's position is the number of classes strictly before it,
+    # i.e. the number of other classes' first worlds in its first world's
+    # column.
+    firsts = {m: lowest(m) for m in classes.values()}
+    leaders = sum(1 << x for x in firsts.values())
 
-    members = sorted(members, key=position)
+    def position(m: int) -> int:
+        x = firsts[m]
+        return (r.cols[x] & leaders & ~(1 << x)).bit_count()
+
+    members = sorted(classes.values(), key=position)
     blocks = tuple(
-        Block(frozenset(grp), all(r.has(x, y) for x in grp for y in grp))
-        for grp in members
+        Block(frozenset(u.names(m)), r.rows[firsts[m]] & m == m) for m in members
     )
-    return LayeredForm(r.universe, blocks)
+    return LayeredForm(u, blocks)
 
 
 def from_layers(layered: LayeredForm) -> BeliefState:
@@ -159,14 +155,17 @@ def from_layers(layered: LayeredForm) -> BeliefState:
     missing = set(u.worlds) - seen
     if missing:
         raise ValueError(f"world(s) missing from the partition: {sorted(missing)}")
-    pairs = []
-    for i, bi in enumerate(layered.blocks):
-        for j, bj in enumerate(layered.blocks):
-            if i < j:
-                pairs.extend((x, y) for x in bi.worlds for y in bj.worlds)
-            elif i == j and bi.connected:
-                pairs.extend((x, y) for x in bi.worlds for y in bj.worlds)
-    return BeliefState(relation(u, pairs))
+    # Every world of a block is below every world of the later blocks,
+    # and of its own block too when that block is connected.
+    rows = [0] * len(u)
+    below = 0
+    for block in reversed(layered.blocks):
+        m = u.mask(block.worlds)
+        row = below | m if block.connected else below
+        for w in block.worlds:
+            rows[u.index(w)] = row
+        below |= m
+    return BeliefState(Relation(u, tuple(rows)))
 
 
 @dataclass(frozen=True)
@@ -207,10 +206,10 @@ def classify_class(r: Relation) -> ClassFlags:
 
 
 def _total_quasi_transitive(u: WorldUniverse):
-    cells = [(x, y) for x in u.worlds for y in u.worlds]
-    for mask in range(2 ** len(cells)):
-        pairs = frozenset(c for i, c in enumerate(cells) if mask >> i & 1)
-        q = Relation(u, pairs)
+    n = len(u)
+    full = (1 << n) - 1
+    for matrix in range(2 ** (n * n)):
+        q = Relation(u, tuple(matrix >> (x * n) & full for x in range(n)))
         f = classify_properties(q)
         if f.total and f.quasi_transitive:
             yield q
@@ -243,9 +242,11 @@ def evaluate_conditional(
         raise VacuousConditionError("condition has no satisfying world")
     q_worlds = models(pu, q)
     chosen = choice_set(b.relation, p_worlds)
-    r = b.relation
-    fully_connected = all(r.has(x, y) for x in chosen for y in chosen)
-    fully_disconnected = not any(r.has(x, y) for x in chosen for y in chosen)
+    u = b.universe
+    c = u.mask(chosen)
+    inside = [b.relation.rows[u.index(x)] & c for x in chosen]
+    fully_connected = all(m == c for m in inside)
+    fully_disconnected = not any(inside)
     hits = chosen & q_worlds
     return ConditionalStatus(
         bel=hits == chosen,

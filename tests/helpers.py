@@ -75,6 +75,47 @@ def transitive_oracle(r: Relation) -> bool:
     )
 
 
+def first_modularity_witness(r: Relation):
+    """The first (x, y, z) in pair_key order, then world order, with
+    x < y but neither x < z nor z < y; None if the relation is modular."""
+    ws, pairs = r.universe.worlds, r.pairs
+    for x in ws:
+        for y in ws:
+            if (x, y) not in pairs:
+                continue
+            for z in ws:
+                if (x, z) not in pairs and (z, y) not in pairs:
+                    return (x, y, z)
+    return None
+
+
+def first_transitivity_witness(r: Relation):
+    """The first (x, y, z) in pair_key order, then world order, with
+    x < y and y < z but not x < z; None if the relation is transitive."""
+    ws, pairs = r.universe.worlds, r.pairs
+    for x in ws:
+        for y in ws:
+            if (x, y) not in pairs:
+                continue
+            for z in ws:
+                if (y, z) in pairs and (x, z) not in pairs:
+                    return (x, y, z)
+    return None
+
+
+def layered_pairs(blocks) -> frozenset:
+    """The pairs of an ordered block list [(worlds, connected), ...], most
+    likely block first: each world is below every world of later blocks,
+    and of its own block when that block is connected."""
+    out = set()
+    for i, (bi, connected) in enumerate(blocks):
+        if connected:
+            out.update((x, y) for x in bi for y in bi)
+        for bj, _ in blocks[i + 1 :]:
+            out.update((x, y) for x in bi for y in bj)
+    return frozenset(out)
+
+
 def choice_oracle(r: Relation, xs: frozenset) -> frozenset:
     def strictly_under(a, b):
         return r.has(a, b) and not r.has(b, a)

@@ -1,7 +1,11 @@
+from itertools import product
+
 import pytest
 from click.testing import CliRunner
 
+from belieffusion import relation, universe
 from belieffusion.cli import main
+from helpers import choice_oracle, layered_pairs
 
 EXAMPLE4 = """\
 worlds a b c
@@ -309,3 +313,117 @@ def test_export_dot_requires_one_selector(runner, scenario_file):
 def test_exit_code_2_on_scenario_parse_error(runner, scenario_file):
     result = runner.invoke(main, ["validate", scenario_file("worlds a a\n")])
     assert result.exit_code == 2
+
+
+def test_cli_at_256_worlds(runner, scenario_file):
+    # Eight variables; the sources are layered by construction, so every
+    # expected output follows from the blocks. s0 ranks A-worlds above the
+    # rest. s1 ranks the all-false world w0 first, then the B-worlds
+    # (conflicted), then the others; p0 (pairs) puts w0 below nothing,
+    # which s1 already says, so rank 1 as a whole is just s1. Refining s0
+    # by s1 gives the lexicographic layering, which is already transitive.
+    names = "ABCDEFGH"
+    vals = {
+        ".".join(v if b else "!" + v for v, b in zip(names, bits)): dict(zip(names, bits))
+        for bits in product((True, False), repeat=len(names))
+    }
+    worlds = list(vals)
+    w0 = worlds[-1]
+    s0 = [([w for w in worlds if vals[w]["A"]], False), ([w for w in worlds if not vals[w]["A"]], False)]
+    s1 = [
+        ([w0], False),
+        ([w for w in worlds if vals[w]["B"]], True),
+        ([w for w in worlds if not vals[w]["B"] and w != w0], False),
+    ]
+    expected_blocks = [
+        ([w for w in outer if w in inner], connected)
+        for outer, _ in s0
+        for inner, connected in s1
+        if set(outer) & set(inner)
+    ]
+    agr_pairs = layered_pairs(expected_blocks)
+
+    def layers_line(blocks):
+        return " > ".join(f"[{' '.join(ws)}]" + ("*" if c else "") for ws, c in blocks)
+
+    text = "\n".join(
+        [
+            "vars " + " ".join(names),
+            "source s0 rank 2",
+            "  layers " + layers_line(s0),
+            "source s1 rank 1",
+            "  layers " + layers_line(s1),
+            "source p0 rank 1",
+            "  pairs " + ", ".join(f"{w0} < {w}" for w in worlds if w != w0),
+            "agent a0 = s0 s1 p0",
+            "agent a1 = s1 p0",
+        ]
+    )
+    path = scenario_file(text + "\n")
+
+    def pair_lines(lines):
+        return [tuple(line.split(" < ")) for line in lines]
+
+    def read_layers(line):
+        blocks = []
+        for part in line.split(" > "):
+            ws, _, star = part.partition("]")
+            blocks.append((ws.lstrip("[").split(), star == "*"))
+        return layered_pairs(blocks)
+
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == 0
+    # s0 and p0 are irreflexive and s1 is not; none is total (each has a
+    # disconnected block of several worlds), and Q< is not decided at 256.
+    assert result.output == "OK s0 B,T<\nOK s1 B\nOK p0 B,T<\n"
+
+    result = runner.invoke(main, ["aggregate", path, "--op", "agr"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    printed = pair_lines(lines[:-1])
+    assert printed == sorted(agr_pairs, key=lambda p: (worlds.index(p[0]), worlds.index(p[1])))
+    assert lines[-1] == "layers: " + layers_line(expected_blocks)
+    assert read_layers(lines[-1][len("layers: "):]) == set(printed)
+
+    expected_state = relation(universe(*worlds), agr_pairs)
+    for args, p_worlds, q_worlds in (
+        (["--agent", "a0", "--if", "B & !C", "--then", "D"],
+         {w for w in worlds if vals[w]["B"] and not vals[w]["C"]},
+         {w for w in worlds if vals[w]["D"]}),
+        (["--sources", "all", "--if", "!A", "--then", "!B"],
+         {w for w in worlds if not vals[w]["A"]},
+         {w for w in worlds if not vals[w]["B"]}),
+    ):
+        result = runner.invoke(main, ["query", path, *args])
+        assert result.exit_code == 0
+        chosen = choice_oracle(expected_state, frozenset(p_worlds))
+        hits = chosen & q_worlds
+        connected = all((x, y) in agr_pairs for x in chosen for y in chosen)
+        disconnected = not any((x, y) in agr_pairs for x in chosen for y in chosen)
+        flags = [
+            name
+            for name, on in (
+                ("BEL", hits == chosen),
+                ("DISBEL", not hits),
+                ("AGN", disconnected and hits and hits != chosen),
+                ("CON", connected),
+            )
+            if on
+        ]
+        assert result.output == f"{' '.join(flags)}\nchoice: {' '.join(w for w in worlds if w in chosen)}\n"
+
+    result = runner.invoke(main, ["fuse", path])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    cut = lines.index("induced")
+    s0_pairs, s1_pairs = layered_pairs(s0), layered_pairs(s1)
+    labels = {p: 2 for p in s0_pairs}
+    labels.update(
+        {(x, y): 1 for x, y in s1_pairs if (x, y) not in s0_pairs and (y, x) not in s0_pairs}
+    )
+    fused = {}
+    for line in lines[1:cut]:
+        pair, _, rank = line.rpartition(" @ ")
+        fused[tuple(pair.split(" < "))] = int(rank)
+    assert lines[0] == "pedigree" and fused == labels and len(fused) == cut - 1
+    assert set(pair_lines(lines[cut + 1 :])) == agr_pairs

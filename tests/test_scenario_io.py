@@ -186,6 +186,17 @@ def test_pedigree_parse_errors():
             parse_pedigree(text, u)
 
 
+def test_pedigree_duplicate_pair_position():
+    u = universe("a", "b", "c")
+    text = "pedigree\na < b @ 1\nc < b @ 2\n\na < b @ 2\n"
+    with pytest.raises(ParseError) as exc:
+        parse_pedigree(text, u)
+    assert (exc.value.line, exc.value.column) == (5, 10)
+    assert exc.value.reason == "duplicate pair a < b"
+    # a pair and its reverse are different pairs
+    assert parse_pedigree("pedigree\na < b @ 1\nb < a @ 1\n", u).label("b", "a") == 1
+
+
 def test_export_dot_layered():
     u = universe("a", "b", "c")
     lf = LayeredForm(

@@ -23,7 +23,14 @@ from belieffusion import (
     to_layers,
     universe,
 )
-from helpers import all_relations, random_layered, small_universe
+from helpers import (
+    all_relations,
+    first_modularity_witness,
+    first_transitivity_witness,
+    random_layered,
+    random_state,
+    small_universe,
+)
 
 U3 = universe("a", "b", "c")
 U2 = universe("a", "b")
@@ -303,3 +310,43 @@ def test_conditional_flags_never_contradict():
                 assert sum((status.bel, status.disbel, status.agn)) == 1
             else:
                 assert len(status.choice) >= 2
+
+
+def test_witnesses_are_the_first_triples_in_pair_order():
+    # Random relations are mostly not modular; unions of two belief states
+    # are modular and often intransitive; single states pass; a state with
+    # one pair dropped can fail either way.
+    rng = random.Random(303)
+    kinds = {"not modular": 0, "not transitive": 0, "valid": 0}
+    for i in range(400):
+        u = small_universe(rng.randint(2, 5))
+        shape = i % 4
+        if shape == 0:
+            cells = [(x, y) for x in u.worlds for y in u.worlds]
+            r = relation(u, (c for c in cells if rng.random() < 0.5))
+        elif shape == 1:
+            a, b = random_state(rng, u).relation, random_state(rng, u).relation
+            r = relation(u, a.pairs | b.pairs)
+        elif shape == 2:
+            r = random_state(rng, u).relation
+        else:
+            pairs = sorted(random_state(rng, u).relation.pairs)
+            if pairs:
+                pairs.pop(rng.randrange(len(pairs)))
+            r = relation(u, pairs)
+        modular_witness = first_modularity_witness(r)
+        transitive_witness = first_transitivity_witness(r)
+        if modular_witness is not None:
+            with pytest.raises(NotModularError) as exc:
+                from_relation(r)
+            assert exc.value.witness == modular_witness
+            kinds["not modular"] += 1
+        elif transitive_witness is not None:
+            with pytest.raises(NotTransitiveError) as exc:
+                from_relation(r)
+            assert exc.value.witness == transitive_witness
+            kinds["not transitive"] += 1
+        else:
+            assert from_relation(r).relation == r
+            kinds["valid"] += 1
+    assert min(kinds.values()) >= 30, kinds
