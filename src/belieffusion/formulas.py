@@ -1,4 +1,4 @@
-"""Propositional formulas, valuation worlds, and the satisfaction sweep.
+"""Propositional formulas, valuation worlds, and mask-valued evaluation.
 
 The query language is classical propositional logic with ASCII
 connectives. Grammar, loosest first:
@@ -11,20 +11,31 @@ connectives. Grammar, loosest first:
 
 Variables match [A-Za-z_][A-Za-z0-9_]* minus the keywords; whitespace is
 insignificant.
+
+A formula is evaluated over a whole valuation universe at once, as a bit
+mask in universe order (a truth table as a bit vector): a variable is the
+mask of the worlds where it is true, and each connective is one big-int
+operation on its operands' masks. ``models_mask`` makes one pass over the
+formula tree, whatever the number of worlds.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .relations import UnknownWorldError, WorldUniverse
 
 KEYWORDS = frozenset({"true", "false"})
+_OPERATORS = frozenset({"<->", "->", "!", "&", "|", "(", ")"})
 
+# One alternative per token kind; ``bad`` catches the first character no
+# token can start with. Whitespace matches nothing and is skipped.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><->|->|[!&|()]))"
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><->|->|[!&|()])|(?P<bad>\S)"
 )
 
 
@@ -83,20 +94,24 @@ class Iff:
 Formula = Union[Var, Const, Not, And, Or, Implies, Iff]
 
 
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """(token, offset) for each token of ``text``, in one scan.
+
+    Every token is an operator or a name, so a token that is not in
+    ``_OPERATORS`` is a name.
+    """
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise FormulaSyntaxError(m.start(), f"unexpected character {m.group()!r}")
+        tokens.append((m.group(), m.start()))
+    return tokens
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos:].isspace():
-                break
-            m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                raise FormulaSyntaxError(bad, f"unexpected character {text[bad]!r}")
-            self.tokens.append((m.group("name") or m.group("op"), m.start("name") if m.group("name") else m.start("op")))
-            pos = m.end()
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -170,8 +185,8 @@ class _Parser:
         if tok == "false":
             self.take("false")
             return Const(False)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            self.take(tok)
+        if tok not in _OPERATORS:
+            self.pos += 1
             return Var(tok)
         raise FormulaSyntaxError(self.offset(), f"expected a formula, found {tok!r}")
 
@@ -224,30 +239,41 @@ def satisfies(valuation: Mapping[str, bool], f: Formula) -> bool:
     """Truth-functional evaluation of ``f`` under a total valuation.
 
     Every variable of ``f`` must be in the valuation's domain, even ones a
-    lazy evaluation would never reach.
+    lazy evaluation would never reach. This is the mask evaluation over a
+    universe of one world.
     """
-    missing = variables_of(f) - set(valuation)
-    if missing:
+    return _evaluate(f, {var: 1 if value else 0 for var, value in valuation.items()}, 1) == 1
+
+
+def _evaluate(f: Formula, masks: Mapping[str, int], full: int) -> int:
+    """The mask of the worlds satisfying ``f``, given each variable's mask."""
+    try:
+        return _mask(f, masks, full)
+    except KeyError:
+        missing = variables_of(f) - set(masks)
         raise UndeclaredVariableError(
             f"undeclared variable(s): {', '.join(sorted(missing))}"
-        )
-    return _evaluate(valuation, f)
+        ) from None
 
 
-def _evaluate(valuation: Mapping[str, bool], f: Formula) -> bool:
+def _mask(f: Formula, masks: Mapping[str, int], full: int) -> int:
+    # Both operands of a binary connective are always evaluated, so an
+    # undeclared variable anywhere in f raises KeyError.
     if isinstance(f, Var):
-        return valuation[f.name]
+        return masks[f.name]
     if isinstance(f, Const):
-        return f.value
+        return full if f.value else 0
     if isinstance(f, Not):
-        return not _evaluate(valuation, f.operand)
+        return full & ~_mask(f.operand, masks, full)
+    a = _mask(f.left, masks, full)
+    b = _mask(f.right, masks, full)
     if isinstance(f, And):
-        return _evaluate(valuation, f.left) and _evaluate(valuation, f.right)
+        return a & b
     if isinstance(f, Or):
-        return _evaluate(valuation, f.left) or _evaluate(valuation, f.right)
+        return a | b
     if isinstance(f, Implies):
-        return (not _evaluate(valuation, f.left)) or _evaluate(valuation, f.right)
-    return _evaluate(valuation, f.left) == _evaluate(valuation, f.right)
+        return (full & ~a) | b
+    return full & ~(a ^ b)
 
 
 @dataclass(frozen=True)
@@ -261,6 +287,17 @@ class PropUniverse:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_by_name", dict(self.valuations))
+
+    @cached_property
+    def masks(self) -> Mapping[str, int]:
+        """Per variable, the mask of the worlds where it is true (read-only)."""
+        masks = dict.fromkeys(self.variables, 0)
+        for name, values in self.valuations:
+            bit = 1 << self.universe.index(name)
+            for var, value in zip(self.variables, values):
+                if value:
+                    masks[var] |= bit
+        return MappingProxyType(masks)
 
     def valuation(self, world: str) -> dict[str, bool]:
         try:
@@ -302,15 +339,15 @@ def generate_universe(variables: tuple[str, ...] | list[str]) -> PropUniverse:
     )
 
 
+def models_mask(pu: PropUniverse, f: Formula) -> int:
+    """The mask of the worlds of ``pu`` whose valuations satisfy ``f``.
+
+    Every variable of ``f`` must be declared, even ones a lazy evaluation
+    would never reach; the error names all the undeclared ones.
+    """
+    return _evaluate(f, pu.masks, (1 << len(pu.universe)) - 1)
+
+
 def models(pu: PropUniverse, f: Formula) -> frozenset[str]:
     """The worlds of ``pu`` whose valuations satisfy ``f``."""
-    missing = variables_of(f) - set(pu.variables)
-    if missing:
-        raise UndeclaredVariableError(
-            f"undeclared variable(s): {', '.join(sorted(missing))}"
-        )
-    return frozenset(
-        name
-        for name, bits in pu.valuations
-        if _evaluate(dict(zip(pu.variables, bits)), f)
-    )
+    return frozenset(pu.universe.names(models_mask(pu, f)))

@@ -35,7 +35,15 @@ from .states import BeliefState, Block, LayeredForm, from_layers, to_layers
 
 FORMAT_HEADER = "# format 1"
 
-_PUNCT = {"<", ">", "=", ",", "[", "]", "*"}
+# A token is one punctuation character or a run of characters that are
+# neither whitespace, punctuation nor '#'; whitespace is skipped.
+_TOKEN_RE = re.compile(r"[<>=,\[\]*]|[^\s<>=,\[\]*#]+")
+
+#: The most variables a ``vars`` line may declare. ``vars`` builds all
+#: 2^k worlds at once, and a relation over 2^12 = 4096 worlds already
+#: takes about 2 MB of row masks, so a longer line is a parse error
+#: rather than an attempt to exhaust memory.
+MAX_VARS = 12
 
 
 class ParseError(ValueError):
@@ -70,26 +78,9 @@ class Scenario:
 
 
 def _tokenize_line(text: str) -> list[tuple[str, int]]:
-    """Split one line into (token, 1-based column) pairs."""
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "#":
-            break
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append((c, i + 1))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in _PUNCT and text[j] != "#":
-            j += 1
-        tokens.append((text[i:j], i + 1))
-        i = j
-    return tokens
+    """Split one line into (token, 1-based column) pairs; '#' starts a comment."""
+    code = text.partition("#")[0]
+    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(code)]
 
 
 class _LineParser:
@@ -172,6 +163,13 @@ def parse_scenario(text: str) -> Scenario:
                 names.append(lp.next("a name"))
             if not names:
                 raise lp.error(f"{keyword} needs at least one name")
+            if keyword == "vars" and len(names) > MAX_VARS:
+                first_over, column = tokens[1 + MAX_VARS]
+                raise ParseError(
+                    lineno, column,
+                    f"vars declares {len(names)} variables; at most {MAX_VARS} are allowed",
+                    first_over,
+                )
             if keyword == "worlds":
                 try:
                     universe = WorldUniverse(tuple(names))

@@ -19,6 +19,12 @@ reproducible from (scenario, topology, config):
   swap with ``next_below(i + 1)``), then per edge processes direction
   a->b then b->a; per direction one drop coin is drawn, and a duplication
   coin is drawn only if the message was not dropped.
+
+A run stops, ``converged``, after the first quiescent round: one in which
+every directed edge delivered at least once and no state changed. Every
+agent has then fused each neighbour's current state without effect, so
+the states are a fixpoint of the exchange. A round with a dropped message
+is never quiescent, however little it changed.
 """
 
 from __future__ import annotations
@@ -160,12 +166,13 @@ def run_simulation(
     converged = False
     for _ in range(config.max_rounds):
         rounds += 1
-        changed = False
+        changed = dropped = False
         order = list(edges)
         rng.shuffle(order)
         for a, b in order:
             for src, dst in ((a, b), (b, a)):
                 if rng.next_unit() < config.drop_prob:
+                    dropped = True
                     continue
                 deliveries = 2 if rng.next_unit() < config.duplication_prob else 1
                 for _ in range(deliveries):
@@ -174,7 +181,7 @@ def run_simulation(
                     if merged != states[dst]:
                         states[dst] = merged
                         changed = True
-        if not changed:
+        if not changed and not dropped:
             converged = True
             break
 

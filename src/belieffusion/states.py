@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import lowest
-from .formulas import Formula, PropUniverse, models
+from .bitset import bits, lowest
+from .formulas import Formula, PropUniverse, models_mask
 from .relations import (
     Relation,
     WorldUniverse,
-    choice_set,
+    choice_mask,
     classify_properties,
     modularity_witness,
     strict_version,
@@ -237,21 +237,18 @@ def evaluate_conditional(
 ) -> ConditionalStatus:
     if pu.universe != b.universe:
         raise ValueError("belief state and universe do not match")
-    p_worlds = models(pu, p)
-    if not p_worlds:
+    p_mask = models_mask(pu, p)
+    if not p_mask:
         raise VacuousConditionError("condition has no satisfying world")
-    q_worlds = models(pu, q)
-    chosen = choice_set(b.relation, p_worlds)
-    u = b.universe
-    c = u.mask(chosen)
-    inside = [b.relation.rows[u.index(x)] & c for x in chosen]
-    fully_connected = all(m == c for m in inside)
-    fully_disconnected = not any(inside)
-    hits = chosen & q_worlds
+    q_mask = models_mask(pu, q)
+    rows = b.relation.rows
+    chosen = choice_mask(b.relation, p_mask)
+    inside = [rows[x] & chosen for x in bits(chosen)]
+    hits = chosen & q_mask
     return ConditionalStatus(
         bel=hits == chosen,
         disbel=not hits,
-        agn=fully_disconnected and bool(hits) and hits != chosen,
-        con=fully_connected,
-        choice=chosen,
+        agn=not any(inside) and bool(hits) and hits != chosen,
+        con=all(m == chosen for m in inside),
+        choice=frozenset(b.universe.names(chosen)),
     )

@@ -9,18 +9,23 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from belieffusion import (
     Agent,
     Block,
+    FormulaSyntaxError,
     LayeredForm,
     Profile,
+    PropUniverse,
     Relation,
     Source,
     WorldUniverse,
     from_layers,
+    generate_universe,
     relation,
 )
+from belieffusion.formulas import And, Const, Iff, Implies, Not, Or, Var
 
 LETTERS = "abcdefgh"
 
@@ -177,3 +182,109 @@ def random_agents(rng: random.Random, u: WorldUniverse, count: int) -> list[Agen
         take = rng.sample(pool, rng.randint(0, len(pool)))
         agents.append(Agent(f"A{i}", Profile(u, tuple(take))))
     return agents
+
+
+_FORMULA_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><->|->|[!&|()]))"
+)
+
+
+def formula_tokens_oracle(text: str) -> list[tuple[str, int]]:
+    """The formula tokenizer as it was before it became one scan: a
+    regex match per token, re-slicing the rest of the text each time."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos:].isspace():
+            break
+        m = _FORMULA_TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
+            raise FormulaSyntaxError(bad, f"unexpected character {text[bad]!r}")
+        tokens.append((m.group("name") or m.group("op"), m.start("name") if m.group("name") else m.start("op")))
+        pos = m.end()
+    return tokens
+
+
+_SCENARIO_PUNCT = {"<", ">", "=", ",", "[", "]", "*"}
+
+
+def scenario_tokens_oracle(text: str) -> list[tuple[str, int]]:
+    """The scenario line tokenizer as it was before it became one regex:
+    a walk over the line one character at a time."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "#":
+            break
+        if c.isspace():
+            i += 1
+            continue
+        if c in _SCENARIO_PUNCT:
+            tokens.append((c, i + 1))
+            i += 1
+            continue
+        j = i
+        while j < len(text) and not text[j].isspace() and text[j] not in _SCENARIO_PUNCT and text[j] != "#":
+            j += 1
+        tokens.append((text[i:j], i + 1))
+        i = j
+    return tokens
+
+
+def truth_oracle(f, env) -> bool:
+    """A formula's truth value under one valuation, by structural recursion."""
+    if isinstance(f, Var):
+        return env[f.name]
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Not):
+        return not truth_oracle(f.operand, env)
+    a, b = truth_oracle(f.left, env), truth_oracle(f.right, env)
+    return {And: a and b, Or: a or b, Implies: b or not a, Iff: a == b}[type(f)]
+
+
+def models_oracle(pu: PropUniverse, f) -> frozenset:
+    """The worlds whose valuation satisfies f, one world at a time."""
+    return frozenset(w for w in pu.universe.worlds if truth_oracle(f, pu.valuation(w)))
+
+
+def conditional_oracle(r: Relation, p_worlds: frozenset, q_worlds: frozenset):
+    """(bel, disbel, agn, con, choice) of "if p then q?" from the
+    definitions: the choice set of the p-worlds, then pair lookups."""
+    chosen = choice_oracle(r, p_worlds)
+    hits = chosen & q_worlds
+    pairs = [(x, y) for x in chosen for y in chosen]
+    connected = all(r.has(x, y) for x, y in pairs)
+    disconnected = not any(r.has(x, y) for x, y in pairs)
+    return (
+        hits == chosen,
+        not hits,
+        disconnected and bool(hits) and hits != chosen,
+        connected,
+        chosen,
+    )
+
+
+def aliased_prop_universe(rng: random.Random, variables) -> PropUniverse:
+    """A valuation universe with some worlds renamed and the worlds
+    declared in a shuffled order, so that a world's position in the
+    universe differs from its position among the valuations."""
+    pu = generate_universe(variables)
+    for i, name in enumerate(rng.sample(pu.universe.worlds, len(pu.universe) // 3)):
+        pu = pu.rename_world(name, f"w{i}")
+    worlds = list(pu.universe.worlds)
+    rng.shuffle(worlds)
+    return PropUniverse(pu.variables, WorldUniverse(tuple(worlds)), pu.valuations)
+
+
+def random_formula(rng: random.Random, variables, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.1:
+            return Const(rng.random() < 0.5)
+        return Var(rng.choice(variables))
+    kind = rng.choice((Not, And, Or, Implies, Iff))
+    if kind is Not:
+        return Not(random_formula(rng, variables, depth - 1))
+    return kind(random_formula(rng, variables, depth - 1), random_formula(rng, variables, depth - 1))

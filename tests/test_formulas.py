@@ -13,7 +13,8 @@ from belieffusion import (
     parse_formula,
     satisfies,
 )
-from belieffusion.formulas import And, Const, Iff, Implies, Not, Or, Var
+from belieffusion.formulas import And, Const, Iff, Implies, Not, Or, Var, _tokenize, models_mask
+from helpers import aliased_prop_universe, formula_tokens_oracle, models_oracle, random_formula
 
 
 def test_parse_basic_connectives():
@@ -155,3 +156,50 @@ def test_truth_table_exhaustive_small_formulas():
         f = parse_formula(f"A {sym} B")
         for a, b in itertools.product([True, False], repeat=2):
             assert satisfies({"A": a, "B": b}, f) == fn(a, b)
+
+
+# Characters that start tokens, half-tokens ("<", "-", ">"), Unicode and
+# control whitespace, and characters no token may contain.
+TOKEN_ALPHABET = "AbZ_9x1 !&|()<->\t\n\u00a0\u2003\x1c#@.\u00e9*"
+
+
+def test_tokenizer_matches_the_per_token_scan():
+    rng = random.Random(4111)
+    samples = ["", "   ", "A", "<-", "- >", "a\u00a0&\u2003b", "\u00e9", "true->false"]
+    for _ in range(2000):
+        samples.append("".join(rng.choice(TOKEN_ALPHABET) for _ in range(rng.randrange(12))))
+    for _ in range(300):
+        text = format_formula(random_tree(rng, depth=4))
+        if rng.random() < 0.5:
+            cut = rng.randrange(len(text) + 1)
+            text = text[:cut] + rng.choice(" \t\u00a0@<-") + text[cut:]
+        samples.append(text)
+    errors = 0
+    for text in samples:
+        try:
+            expected = formula_tokens_oracle(text)
+        except FormulaSyntaxError as e:
+            errors += 1
+            with pytest.raises(FormulaSyntaxError) as exc:
+                _tokenize(text)
+            assert (exc.value.offset, str(exc.value)) == (e.offset, str(e)), text
+            continue
+        assert _tokenize(text) == expected, text
+    assert 200 < errors < len(samples) - 200
+
+
+def test_models_mask_matches_per_world_evaluation_on_aliased_universes():
+    rng = random.Random(4112)
+    for case in range(400):
+        pu = aliased_prop_universe(rng, VARS[: 2 + case % 3])
+        f = random_formula(rng, pu.variables, 5)
+        expected = models_oracle(pu, f)
+        assert models(pu, f) == expected
+        assert models_mask(pu, f) == pu.universe.mask(expected)
+
+
+def test_undeclared_variables_are_all_named_sorted():
+    pu = generate_universe(["A", "B"])
+    for text in ("false & (Z | Y)", "true | Y -> Z", "A & Z & Y"):
+        with pytest.raises(UndeclaredVariableError, match=r"^undeclared variable\(s\): Y, Z$"):
+            models(pu, parse_formula(text))

@@ -16,8 +16,9 @@ from belieffusion import (
     to_layers,
     universe,
 )
+from belieffusion import scenario
 from belieffusion.states import Block, LayeredForm
-from helpers import random_layered, random_profile, small_universe
+from helpers import random_layered, random_profile, scenario_tokens_oracle, small_universe
 
 MINIMAL = """\
 worlds a b c
@@ -281,3 +282,32 @@ def test_layers_round_trip_through_scenario_text():
         parsed = parse_scenario(text)
         assert parsed.profile.sources[0].state == from_layers(layered)
         assert to_layers(parsed.profile.sources[0].state) == layered
+
+
+def test_line_tokenizer_matches_the_character_walk():
+    rng = random.Random(4114)
+    # punctuation, '#', words, literals, Unicode and control whitespace,
+    # and characters the formats never use
+    alphabet = "ab!F.D_9<>=,[]*#@ \t\u00a0\u2003\x1c\x85\u00e9\u20ac"
+    lines = ["", "   ", "#", "a#b c", "  pairs a < b, c < d   # note", "[a c]* > [b]"]
+    for _ in range(3000):
+        lines.append("".join(rng.choice(alphabet) for _ in range(rng.randrange(25))))
+    for line in lines:
+        assert scenario._tokenize_line(line) == scenario_tokens_oracle(line), repr(line)
+
+
+def test_vars_cap_is_a_positioned_error_before_the_universe_is_built(monkeypatch):
+    def refuse(variables):
+        raise AssertionError(f"generate_universe called with {len(variables)} variables")
+
+    monkeypatch.setattr(scenario, "generate_universe", refuse)
+    names = [f"V{i}" for i in range(scenario.MAX_VARS + 1)]
+    line = "vars " + " ".join(names)
+    with pytest.raises(ParseError) as exc:
+        parse_scenario("# header\n" + line + "\n")
+    assert (exc.value.line, exc.value.token) == (2, names[-1])
+    assert exc.value.column == line.index(names[-1]) + 1
+    assert f"at most {scenario.MAX_VARS}" in exc.value.reason
+    # at the cap, the line reaches generate_universe
+    with pytest.raises(AssertionError, match=f"with {scenario.MAX_VARS} variables"):
+        parse_scenario("vars " + " ".join(names[:-1]) + "\n")

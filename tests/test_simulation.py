@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from belieffusion import (
     from_relation,
     global_reference,
     induced_state,
+    parse_scenario,
     relation,
     run_simulation,
     universe,
@@ -129,7 +131,7 @@ def test_dropping_everything_delivers_nothing():
         agents, Topology.complete(), SimConfig(seed=7, max_rounds=4, drop_prob=1.0)
     )
     assert report.message_count == 0
-    assert report.converged and report.rounds_executed == 1
+    assert not report.converged and report.rounds_executed == 4
 
 
 def test_identical_runs_are_identical():
@@ -177,3 +179,19 @@ def test_replay_never_changes_converged_state():
         for receiver in agents:
             merged = fuse([states[receiver.id], states[sender.id]])
             assert merged == states[receiver.id]
+
+
+def test_lossy_ring_reports_convergence_only_on_agreement():
+    path = pathlib.Path(__file__).parent.parent / "scenarios" / "telemetry.scn"
+    agents = parse_scenario(path.read_text()).agents
+    report = run_simulation(agents, Topology.ring(), SimConfig(seed=0, max_rounds=50, drop_prob=0.5))
+    assert report.converged and report.matches_global
+    rng = random.Random(4115)
+    runs = 0
+    for seed in range(150):
+        agents = random_agents(rng, 4)
+        drop = (0.1, 0.2, 0.3)[seed % 3]
+        report = run_simulation(agents, Topology.ring(), SimConfig(seed=seed, max_rounds=30, drop_prob=drop))
+        runs += report.converged
+        assert report.matches_global or not report.converged, (seed, drop)
+    assert runs > 50

@@ -4,6 +4,7 @@ import pytest
 
 from belieffusion import (
     BeliefState,
+    UndeclaredVariableError,
     Block,
     LayeredForm,
     NotModularError,
@@ -24,7 +25,11 @@ from belieffusion import (
     universe,
 )
 from helpers import (
+    aliased_prop_universe,
     all_relations,
+    conditional_oracle,
+    models_oracle,
+    random_formula,
     first_modularity_witness,
     first_transitivity_witness,
     random_layered,
@@ -350,3 +355,47 @@ def test_witnesses_are_the_first_triples_in_pair_order():
             assert from_relation(r).relation == r
             kinds["valid"] += 1
     assert min(kinds.values()) >= 30, kinds
+
+
+def test_conditional_matches_per_world_oracle_on_aliased_universes():
+    rng = random.Random(4113)
+    vacuous = 0
+    for case in range(400):
+        pu = aliased_prop_universe(rng, ("F", "D", "G", "H")[: 2 + case % 3])
+        u = pu.universe
+        if case % 5 == 4:
+            # arbitrary relations too, cyclic ones included (empty choice sets)
+            cells = [(x, y) for x in u.worlds for y in u.worlds]
+            b = BeliefState(relation(u, (c for c in cells if rng.random() < 0.3)))
+        else:
+            b = from_layers(random_layered(rng, u))
+        p = random_formula(rng, pu.variables, 4)
+        q = random_formula(rng, pu.variables, 4)
+        p_worlds = models_oracle(pu, p)
+        if not p_worlds:
+            vacuous += 1
+            with pytest.raises(VacuousConditionError):
+                evaluate_conditional(b, p, q, pu)
+            continue
+        status = evaluate_conditional(b, p, q, pu)
+        got = (status.bel, status.disbel, status.agn, status.con, status.choice)
+        assert got == conditional_oracle(b.relation, p_worlds, models_oracle(pu, q))
+    assert 10 < vacuous < 100
+
+
+def test_conditional_error_order():
+    pu, b = robot_state()
+    other = generate_universe(["F", "G"])
+    # 1. a universe mismatch comes first, before any formula is read
+    with pytest.raises(ValueError) as exc:
+        evaluate_conditional(b, parse_formula("Z"), parse_formula("Z"), other)
+    assert type(exc.value) is ValueError
+    # 2. an undeclared variable in p, even when p is also unsatisfiable
+    with pytest.raises(UndeclaredVariableError, match="Z$"):
+        evaluate_conditional(b, parse_formula("false & Z"), parse_formula("Y"), pu)
+    # 3. a vacuous condition, before q is read
+    with pytest.raises(VacuousConditionError):
+        evaluate_conditional(b, parse_formula("F & !F"), parse_formula("Y"), pu)
+    # 4. an undeclared variable in q
+    with pytest.raises(UndeclaredVariableError, match="Y$"):
+        evaluate_conditional(b, parse_formula("F"), parse_formula("Y"), pu)
