@@ -14,7 +14,7 @@ import click
 
 from .aggregation import Profile, agr, agr_rf, agr_star, agr_un, un
 from .formulas import FormulaSyntaxError, UndeclaredVariableError, parse_formula
-from .pedigree import fuse, induced_state
+from .pedigree import PedigreedBeliefState, fuse, induced_state
 from .relations import Relation
 from .scenario import (
     ParseError,
@@ -244,9 +244,12 @@ def simulate(scenario_path: str, topology_spec: str, seed: int, rounds: int, dup
     click.echo(f"rounds: {report.rounds_executed}")
     click.echo(f"messages: {report.message_count}")
     click.echo(f"converged: {'true' if report.converged else 'false'}")
+    lines: dict[PedigreedBeliefState, str] = {}
     for agent in scenario.agents:
-        induced = induced_state(report.final_states[agent.id])
-        click.echo(f"agent {agent.id}: " + ", ".join(_pair_lines(induced.relation)))
+        state = report.final_states[agent.id]
+        if state not in lines:
+            lines[state] = ", ".join(_pair_lines(induced_state(state).relation))
+        click.echo(f"agent {agent.id}: " + lines[state])
     click.echo(f"MATCHES_GLOBAL: {'true' if report.matches_global else 'false'}")
 
 

@@ -20,11 +20,20 @@ reproducible from (scenario, topology, config):
   a->b then b->a; per direction one drop coin is drawn, and a duplication
   coin is drawn only if the message was not dropped.
 
+``messages`` counts every delivered copy. Copies that the fusion laws
+make no-ops are not fused: a second copy of a duplicated message, and a
+message whose sender holds the receiver's state. Every state in the loop
+is the output of a refinement (an agent's pedigree or a fusion), and
+fusion is idempotent on those, so skipping them changes no state.
+
 A run stops, ``converged``, after the first quiescent round: one in which
-every directed edge delivered at least once and no state changed. Every
-agent has then fused each neighbour's current state without effect, so
-the states are a fixpoint of the exchange. A round with a dropped message
-is never quiescent, however little it changed.
+no state changed and every directed edge has delivered at least once
+since the last state change. A delivery that makes a change counts, as
+its receiver now holds the fusion with the sender's state. Every agent
+has then fused each neighbour's current state without effect, so the
+states are a fixpoint of the exchange. Lost messages delay that point but
+do not prevent it: an edge that dropped a message may deliver in a later
+round.
 """
 
 from __future__ import annotations
@@ -161,27 +170,30 @@ def run_simulation(
     rng = SplitMix64(config.seed)
 
     states: dict[str, PedigreedBeliefState] = {a.id: a.pedigree() for a in agents}
+    directed = {d for a, b in edges for d in ((a, b), (b, a))}
+    undelivered = set(directed)
     messages = 0
     rounds = 0
     converged = False
     for _ in range(config.max_rounds):
         rounds += 1
-        changed = dropped = False
+        changed = False
         order = list(edges)
         rng.shuffle(order)
         for a, b in order:
             for src, dst in ((a, b), (b, a)):
                 if rng.next_unit() < config.drop_prob:
-                    dropped = True
                     continue
-                deliveries = 2 if rng.next_unit() < config.duplication_prob else 1
-                for _ in range(deliveries):
-                    messages += 1
+                messages += 2 if rng.next_unit() < config.duplication_prob else 1
+                # Fusion is idempotent on refinement outputs (see above).
+                if states[dst] != states[src]:
                     merged = fuse([states[dst], states[src]])
                     if merged != states[dst]:
                         states[dst] = merged
                         changed = True
-        if not changed and not dropped:
+                        undelivered = set(directed)
+                undelivered.discard((src, dst))
+        if not changed and not undelivered:
             converged = True
             break
 

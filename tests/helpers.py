@@ -19,10 +19,16 @@ from belieffusion import (
     Profile,
     PropUniverse,
     Relation,
+    SimConfig,
+    SimReport,
     Source,
+    SplitMix64,
+    Topology,
     WorldUniverse,
     from_layers,
+    fuse,
     generate_universe,
+    global_reference,
     relation,
 )
 from belieffusion.formulas import And, Const, Iff, Implies, Not, Or, Var
@@ -288,3 +294,45 @@ def random_formula(rng: random.Random, variables, depth: int):
     if kind is Not:
         return Not(random_formula(rng, variables, depth - 1))
     return kind(random_formula(rng, variables, depth - 1), random_formula(rng, variables, depth - 1))
+
+
+def simulation_oracle(agents, topology: Topology, config: SimConfig) -> SimReport:
+    """The fusion simulator's exchange loop without its shortcuts: every
+    delivered copy is fused, whatever the two states. Same schedule, same
+    quiescence rule (no state changed in the round, and every directed
+    edge delivered since the last state change)."""
+    ids = [a.id for a in agents]
+    edges = topology.edge_list(ids)
+    rng = SplitMix64(config.seed)
+    states = {a.id: a.pedigree() for a in agents}
+    directed = set(edges) | {(b, a) for a, b in edges}
+    undelivered = set(directed)
+    messages = rounds = 0
+    converged = False
+    while rounds < config.max_rounds and not converged:
+        rounds += 1
+        changed = False
+        order = list(edges)
+        rng.shuffle(order)
+        for a, b in order:
+            for src, dst in ((a, b), (b, a)):
+                if rng.next_unit() < config.drop_prob:
+                    continue
+                copies = 2 if rng.next_unit() < config.duplication_prob else 1
+                for _ in range(copies):
+                    messages += 1
+                    merged = fuse([states[dst], states[src]])
+                    if merged != states[dst]:
+                        states[dst] = merged
+                        changed = True
+                        undelivered = set(directed)
+                    undelivered.discard((src, dst))
+        converged = not changed and not undelivered
+    reference = global_reference(agents)
+    return SimReport(
+        rounds_executed=rounds,
+        final_states=states,
+        converged=converged,
+        matches_global=all(states[i] == reference for i in ids),
+        message_count=messages,
+    )

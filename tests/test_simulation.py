@@ -11,6 +11,7 @@ from belieffusion import (
     Topology,
     TopologyError,
     from_relation,
+    fuse,
     global_reference,
     induced_state,
     parse_scenario,
@@ -18,7 +19,7 @@ from belieffusion import (
     run_simulation,
     universe,
 )
-from helpers import random_profile, small_universe
+from helpers import random_profile, simulation_oracle, small_universe
 
 U3 = universe("a", "b", "c")
 U2 = universe("a", "b")
@@ -195,3 +196,77 @@ def test_lossy_ring_reports_convergence_only_on_agreement():
         runs += report.converged
         assert report.matches_global or not report.converged, (seed, drop)
     assert runs > 50
+
+
+def test_heavy_loss_rings_converge_once_every_edge_delivered():
+    rng = random.Random(5005)
+    runs = 0
+    for seed in range(200):
+        agents = random_agents(rng, 4)
+        report = run_simulation(agents, Topology.ring(), SimConfig(seed=seed, max_rounds=50, drop_prob=0.5))
+        runs += report.converged
+        assert report.matches_global or not report.converged, seed
+    assert runs >= 190
+
+
+def random_topology(rng, ids):
+    kind = rng.choice(("ring", "complete", "star", "explicit"))
+    if kind == "star":
+        return Topology.star(rng.choice(ids))
+    if kind != "explicit":
+        return getattr(Topology, kind)()
+    edges = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 2 * len(ids)))]
+    if edges:
+        a, b = rng.choice(edges)
+        edges += [(a, b), (b, a)]
+    rng.shuffle(edges)
+    return Topology.explicit(edges)
+
+
+def test_simulator_matches_reference_loop():
+    rng = random.Random(6006)
+    converged = 0
+    for i in range(320):
+        agents = random_agents(rng, rng.randint(2, 5))
+        topology = random_topology(rng, [a.id for a in agents])
+        config = SimConfig(
+            seed=i,
+            max_rounds=rng.randint(1, 20),
+            duplication_prob=(0.0, 0.25, 0.5, 1.0)[i % 4],
+            drop_prob=(0.0, 0.1, 0.3, 0.5)[i // 4 % 4],
+        )
+        report = run_simulation(agents, topology, config)
+        assert report == simulation_oracle(agents, topology, config), (i, topology, config)
+        converged += report.converged
+    assert 0 < converged < 320
+
+
+def test_duplicates_and_equal_states_are_never_fused(monkeypatch):
+    import belieffusion.simulation as simulation
+
+    calls = []
+
+    def counting_fuse(states, u=None):
+        assert states[0] != states[1]
+        calls.append(1)
+        return fuse(states, u)
+
+    monkeypatch.setattr(simulation, "fuse", counting_fuse)
+    rng = random.Random(7007)
+    total = 0
+    for seed in range(20):
+        agents = random_agents(rng, rng.randint(2, 5))
+        topology = (Topology.ring(), Topology.complete())[seed % 2]
+        reports, counts = [], []
+        for dup in (0.0, 1.0):
+            calls.clear()
+            reports.append(run_simulation(agents, topology, SimConfig(seed=seed, max_rounds=12, duplication_prob=dup)))
+            counts.append(len(calls))
+        single, double = reports
+        assert counts[0] == counts[1]
+        total += counts[0]
+        assert double.message_count == 2 * single.message_count
+        assert double.rounds_executed == single.rounds_executed
+        assert double.final_states == single.final_states
+        assert single.converged and double.converged
+    assert total > 0
