@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 from .aggregation import Level, Profile, Source, refine, refinement_levels
 from .bitset import bits
 from .relations import (
-    Pair,
     Relation,
     UniverseMismatchError,
     WorldUniverse,
@@ -85,9 +84,6 @@ class PedigreedBeliefState:
 
     def __repr__(self) -> str:
         return f"PedigreedBeliefState(universe={self.universe!r}, entries={self.entries!r})"
-
-    def label_map(self) -> dict[Pair, int]:
-        return {(x, y): r for x, y, r in self.entries}
 
     def label(self, x: str, y: str) -> int | None:
         for r, rel in self.levels:

@@ -104,7 +104,7 @@ class Relation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
         n = len(self.universe)
-        if len(self.rows) != n or any(row >> n for row in self.rows):
+        if len(self.rows) != n or max(self.rows) >> n or min(self.rows) < 0:
             raise ValueError(f"a relation over {n} worlds needs {n} row masks below 2**{n}")
 
     @cached_property
@@ -164,12 +164,15 @@ def classify_properties(r: Relation) -> PropertyFlags:
 
     Quasi-transitivity and acyclicity are evaluated on the strict version
     of ``r``; acyclicity means the strict version has no directed cycle.
+    A quasi-transitive relation is acyclic (its strict version is a strict
+    partial order), so only a relation that is not quasi-transitive needs
+    the transitive closure of its strict version for that flag.
     """
     rows, cols, full = r.rows, r.cols, _full(r)
     loops = [row >> x & 1 for x, row in enumerate(rows)]
     both = [row & col for row, col in zip(rows, cols)]
     strict = strict_version(r)
-    strict_reach = transitive_closure(strict)
+    quasi_transitive = transitivity_witness(strict) is None
     return PropertyFlags(
         reflexive=all(loops),
         irreflexive=not any(loops),
@@ -179,8 +182,9 @@ def classify_properties(r: Relation) -> PropertyFlags:
         total=all(row | col == full for row, col in zip(rows, cols)),
         modular=modularity_witness(r) is None,
         transitive=transitivity_witness(r) is None,
-        quasi_transitive=transitivity_witness(strict) is None,
-        acyclic=not any(row >> x & 1 for x, row in enumerate(strict_reach.rows)),
+        quasi_transitive=quasi_transitive,
+        acyclic=quasi_transitive
+        or not any(row >> x & 1 for x, row in enumerate(transitive_closure(strict).rows)),
     )
 
 

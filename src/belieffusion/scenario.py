@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 
 from .aggregation import Profile, Source
+from .bitset import bits
 from .formulas import PropUniverse, canonical_world_name, generate_universe
 from .pedigree import Agent, PedigreedBeliefState
 from .relations import Relation, WorldUniverse, relation
@@ -126,7 +127,6 @@ class _LineParser:
 class _SourceDraft:
     id: str
     rank: int
-    lineno: int
     pairs: list[tuple[str, str]]
     layers: LayeredForm | None = None
     has_pairs: bool = False
@@ -136,7 +136,7 @@ def parse_scenario(text: str) -> Scenario:
     universe: WorldUniverse | None = None
     prop: PropUniverse | None = None
     drafts: list[_SourceDraft] = []
-    agent_rows: list[tuple[str, list[str], int]] = []
+    agent_rows: list[tuple[str, list[str]]] = []
     sources_started = False
 
     def finish(draft: _SourceDraft) -> Source:
@@ -196,8 +196,8 @@ def parse_scenario(text: str) -> Scenario:
             lits = []
             while lp.peek() is not None:
                 lits.append(lp.next("a literal"))
-            bits = _lits_to_bits(lits, prop.variables, lp)
-            canonical = canonical_world_name(prop.variables, bits)
+            values = _lits_to_bits(lits, prop.variables, lp)
+            canonical = canonical_world_name(prop.variables, values)
             if canonical not in prop.universe.worlds:
                 raise lp.error("alias target already renamed")
             try:
@@ -221,7 +221,7 @@ def parse_scenario(text: str) -> Scenario:
             lp.done()
             if any(d.id == sid for d in drafts):
                 raise lp.error(f"duplicate source id {sid!r}", sid)
-            drafts.append(_SourceDraft(sid, int(rank_tok), lineno, []))
+            drafts.append(_SourceDraft(sid, int(rank_tok), []))
             continue
 
         if keyword == "pairs":
@@ -269,7 +269,7 @@ def parse_scenario(text: str) -> Scenario:
             for sid in ids:
                 if not any(d.id == sid for d in drafts):
                     raise lp.error(f"agent {aid!r} references unknown source {sid!r}", sid)
-            agent_rows.append((aid, ids, lineno))
+            agent_rows.append((aid, ids))
             continue
 
         raise lp.error(f"unknown declaration {keyword!r}", keyword)
@@ -282,7 +282,7 @@ def parse_scenario(text: str) -> Scenario:
     by_id = {s.id: s for s in sources}
     agents = tuple(
         Agent(aid, Profile(universe, tuple(by_id[s] for s in ids)))
-        for aid, ids, _ in agent_rows
+        for aid, ids in agent_rows
     )
     return Scenario(universe, prop, profile, agents)
 
@@ -363,10 +363,10 @@ def format_scenario(s: Scenario) -> str:
     lines = [FORMAT_HEADER]
     if s.prop is not None:
         lines.append("vars " + " ".join(s.prop.variables))
-        for name, bits in s.prop.valuations:
-            if name != canonical_world_name(s.prop.variables, bits):
+        for name, values in s.prop.valuations:
+            if name != canonical_world_name(s.prop.variables, values):
                 lits = " ".join(
-                    v if b else "!" + v for v, b in zip(s.prop.variables, bits)
+                    v if b else "!" + v for v, b in zip(s.prop.variables, values)
                 )
                 lines.append(f"world {name} = {lits}")
     else:
@@ -437,23 +437,18 @@ def export_dot(obj: LayeredForm | PedigreedBeliefState) -> str:
         from .pedigree import induced_state
 
         layered = to_layers(induced_state(obj))
-        labels = obj.label_map()
+        levels = obj.levels
     else:
         layered = obj
-        labels = None
+        levels = ()
 
     u = layered.universe
+    masks = [u.mask(block.worlds) for block in layered.blocks]
 
-    def block_ranks(src: Block, dst: Block) -> list[int]:
-        assert labels is not None
-        found = {
-            r
-            for (x, y), r in labels.items()
-            if x in src.worlds and y in dst.worlds
-        }
-        return sorted(found)
-
-    def edge(a: int, b: int, ranks: list[int] | None) -> str:
+    def edge(a: int, b: int) -> str:
+        ranks = sorted(
+            r for r, rel in levels if any(rel.rows[x] & masks[b] for x in bits(masks[a]))
+        )
         attr = f' [label="{",".join(str(r) for r in ranks)}"]' if ranks else ""
         return f"  n{a} -> n{b}{attr};"
 
@@ -463,9 +458,8 @@ def export_dot(obj: LayeredForm | PedigreedBeliefState) -> str:
         lines.append(f'  n{i} [label="{name}"];')
     for i, block in enumerate(layered.blocks):
         if block.connected:
-            lines.append(edge(i, i, block_ranks(block, block) if labels else None))
+            lines.append(edge(i, i))
         if i + 1 < len(layered.blocks):
-            nxt = layered.blocks[i + 1]
-            lines.append(edge(i, i + 1, block_ranks(block, nxt) if labels else None))
+            lines.append(edge(i, i + 1))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,6 @@ from .relations import (
     choice_mask,
     classify_properties,
     modularity_witness,
-    strict_version,
     transitivity_witness,
 )
 
@@ -170,49 +169,33 @@ def from_layers(layered: LayeredForm) -> BeliefState:
 
 @dataclass(frozen=True)
 class ClassFlags:
-    """Membership in the classical relation classes.
+    """Membership in the classical relation classes, each decided in
+    closed form from the relation's property flags.
 
-    ``in_q_strict`` is decided by exhaustive search over total
-    quasi-transitive relations and is therefore only computed for universes
-    of at most three worlds; it is None above that size.
+    ``in_q_strict`` (the strict parts of total quasi-transitive relations)
+    is exactly "asymmetric and transitive": such a strict part is a strict
+    partial order, and a strict partial order P is the strict part of
+    P plus its incomparability plus the diagonal, which is total and
+    quasi-transitive.
     """
 
     in_b: bool
     in_t: bool
     in_t_strict: bool
     in_q: bool
-    in_q_strict: bool | None
+    in_q_strict: bool
 
 
 def classify_class(r: Relation) -> ClassFlags:
     flags = classify_properties(r)
     in_b = flags.modular and flags.transitive
-    in_t = flags.total and flags.transitive
-    in_q = flags.total and flags.quasi_transitive
-    in_q_strict: bool | None
-    if len(r.universe) <= 3:
-        in_q_strict = any(
-            strict_version(q) == r for q in _total_quasi_transitive(r.universe)
-        )
-    else:
-        in_q_strict = None
     return ClassFlags(
         in_b=in_b,
-        in_t=in_t,
+        in_t=flags.total and flags.transitive,
         in_t_strict=in_b and flags.irreflexive,
-        in_q=in_q,
-        in_q_strict=in_q_strict,
+        in_q=flags.total and flags.quasi_transitive,
+        in_q_strict=flags.asymmetric and flags.transitive,
     )
-
-
-def _total_quasi_transitive(u: WorldUniverse):
-    n = len(u)
-    full = (1 << n) - 1
-    for matrix in range(2 ** (n * n)):
-        q = Relation(u, tuple(matrix >> (x * n) & full for x in range(n)))
-        f = classify_properties(q)
-        if f.total and f.quasi_transitive:
-            yield q
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ from belieffusion import (
     fuse,
     generate_universe,
     global_reference,
+    induced_state,
     relation,
+    to_layers,
 )
 from belieffusion.formulas import And, Const, Iff, Implies, Not, Or, Var
 
@@ -64,6 +66,59 @@ def closure_oracle(pairs: frozenset, worlds) -> frozenset:
             frontier.extend(succ[w])
         out.update((start, w) for w in seen)
     return frozenset(out)
+
+
+def _transitive_pairs(pairs: frozenset) -> bool:
+    return all((x, z) in pairs for x, y in pairs for y2, z in pairs if y == y2)
+
+
+def properties_oracle(r: Relation) -> dict[str, bool]:
+    """The ten ``classify_properties`` flags from their pair-set
+    definitions. Quasi-transitivity and acyclicity are judged on the
+    strict part; acyclic means no world reaches itself through it."""
+    ws, pairs = r.universe.worlds, r.pairs
+    strict = frozenset((x, y) for x, y in pairs if (y, x) not in pairs)
+    reach = closure_oracle(strict, ws)
+    return {
+        "reflexive": all((w, w) in pairs for w in ws),
+        "irreflexive": not any((w, w) in pairs for w in ws),
+        "symmetric": all((y, x) in pairs for x, y in pairs),
+        "asymmetric": not any((y, x) in pairs for x, y in pairs),
+        "antisymmetric": all(x == y for x, y in pairs if (y, x) in pairs),
+        "total": all((x, y) in pairs or (y, x) in pairs for x in ws for y in ws),
+        "modular": all((x, z) in pairs or (z, y) in pairs for x, y in pairs for z in ws),
+        "transitive": _transitive_pairs(pairs),
+        "quasi_transitive": _transitive_pairs(strict),
+        "acyclic": not any((w, w) in reach for w in ws),
+    }
+
+
+def q_strict_oracle(r: Relation) -> bool:
+    """Whether r is the strict part of a total quasi-transitive relation.
+
+    Only one total relation can have strict part r: its completion, r plus
+    every pair incomparable in r plus the diagonal. Totality forces each
+    incomparable pair and each self-loop in, in both directions so that
+    they stay out of the strict part; any other added pair reverses one
+    of r's. So the completion alone is judged."""
+    ws, pairs = r.universe.worlds, r.pairs
+    completion = pairs | {
+        (x, y) for x in ws for y in ws if (x, y) not in pairs and (y, x) not in pairs
+    }
+    strict = frozenset((x, y) for x, y in completion if (y, x) not in completion)
+    flags = properties_oracle(relation(r.universe, completion))
+    return flags["total"] and flags["quasi_transitive"] and strict == pairs
+
+
+def random_strict_order(rng: random.Random, u: WorldUniverse, density: float) -> frozenset:
+    """The transitive closure of random pairs that all point forward in a
+    shuffled world order: a strict partial order."""
+    ws = list(u.worlds)
+    rng.shuffle(ws)
+    forward = frozenset(
+        (x, y) for i, x in enumerate(ws) for y in ws[i + 1 :] if rng.random() < density
+    )
+    return closure_oracle(forward, ws)
 
 
 def modular_oracle(r: Relation) -> bool:
@@ -336,3 +391,28 @@ def simulation_oracle(agents, topology: Topology, config: SimConfig) -> SimRepor
         matches_global=all(states[i] == reference for i in ids),
         message_count=messages,
     )
+
+
+def export_dot_oracle(pbs) -> str:
+    """``export_dot`` of a pedigree as it was before it read the rank
+    levels: each edge's labels come from a scan of every labelled pair."""
+    layered = to_layers(induced_state(pbs))
+    labels = {(x, y): r for x, y, r in pbs.entries}
+    u = layered.universe
+
+    def edge(a: int, b: int) -> str:
+        src, dst = layered.blocks[a].worlds, layered.blocks[b].worlds
+        ranks = sorted({r for (x, y), r in labels.items() if x in src and y in dst})
+        attr = f' [label="{",".join(str(r) for r in ranks)}"]' if ranks else ""
+        return f"  n{a} -> n{b}{attr};"
+
+    lines = ["digraph belief_state {"]
+    for i, block in enumerate(layered.blocks):
+        lines.append(f'  n{i} [label="{",".join(sorted(block.worlds, key=u.index))}"];')
+    for i, block in enumerate(layered.blocks):
+        if block.connected:
+            lines.append(edge(i, i))
+        if i + 1 < len(layered.blocks):
+            lines.append(edge(i, i + 1))
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -159,6 +159,7 @@ def test_criterion_2_exhaustive_enumeration():
         t_members = set()
         q_members = set()
         q_strict = set()
+        q_strict_flagged = set()
         for r in all_relations(u):
             flags = classify_properties(r)
             # closure facts and the property-implication chain
@@ -186,7 +187,12 @@ def test_criterion_2_exhaustive_enumeration():
             assert cls.in_b == (flags.modular and flags.transitive)
             assert cls.in_t == (flags.total and flags.transitive)
             assert cls.in_q == (flags.total and flags.quasi_transitive)
+            if cls.in_q_strict:
+                q_strict_flagged.add(r.pairs)
         b_counts[n] = len(b_members)
+        # in_q_strict holds exactly on the strict parts of the total
+        # quasi-transitive relations enumerated above
+        assert q_strict_flagged == q_strict
         # the class intersections from the comparison propositions
         assert q_members & b_members == t_members
         irreflexive_b = {

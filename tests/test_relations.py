@@ -2,6 +2,7 @@ import pytest
 
 from belieffusion import (
     EmptySubsetError,
+    Relation,
     UniverseMismatchError,
     UnknownWorldError,
     WorldUniverse,
@@ -39,6 +40,18 @@ def test_universe_rejects_empty_and_duplicates():
 def test_relation_rejects_foreign_worlds():
     with pytest.raises(UnknownWorldError):
         relation(U2, [("a", "c")])
+
+
+def test_relation_constructor_checks_row_masks():
+    u = small_universe(3)
+    r = Relation(u, [0b011, 0, 0b100])
+    assert r.rows == (0b011, 0, 0b100)
+    assert r.pairs == {("a", "a"), ("a", "b"), ("c", "c")}
+    message = "a relation over 3 worlds needs 3 row masks below 2**3"
+    for rows in ((), (0, 0), (0, 0, 0, 0), (0, 0b1000, 0), (0, 0, 1 << 70), (0, -1, 0)):
+        with pytest.raises(ValueError) as exc:
+            Relation(u, rows)
+        assert str(exc.value) == message
 
 
 def test_classify_empty_relation():

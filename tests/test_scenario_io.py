@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from belieffusion import (
     agr,
     export_dot,
     format_scenario,
+    fuse,
     parse_pedigree,
     parse_scenario,
     serialize_pedigree,
@@ -18,7 +20,14 @@ from belieffusion import (
 )
 from belieffusion import scenario
 from belieffusion.states import Block, LayeredForm
-from helpers import random_layered, random_profile, scenario_tokens_oracle, small_universe
+from helpers import (
+    export_dot_oracle,
+    random_agents,
+    random_layered,
+    random_profile,
+    scenario_tokens_oracle,
+    small_universe,
+)
 
 MINIMAL = """\
 worlds a b c
@@ -231,6 +240,21 @@ def test_export_dot_pedigree_labels_edges():
     out = export_dot(pbs)
     assert 'n0 [label="a,c"];' in out
     assert 'n0 -> n1 [label="1,2"];' in out
+
+
+def test_export_dot_pedigree_matches_pair_scan_oracle():
+    rng = random.Random(661)
+    labelled_loops = multi_rank = 0
+    for _ in range(150):
+        u = small_universe(rng.randint(2, 7))
+        pedigrees = [a.pedigree() for a in random_agents(rng, u, rng.randint(1, 3))]
+        for pbs in pedigrees + [fuse(pedigrees), fuse(pedigrees[:2])]:
+            out = export_dot(pbs)
+            assert out == export_dot_oracle(pbs)
+            labelled_loops += bool(re.search(r"n(\d+) -> n\1 \[label", out))
+            multi_rank += bool(re.search(r'-> n\d+ \[label="\d+,', out))
+    # connected blocks with labelled self-loops, and edges with several ranks
+    assert labelled_loops > 200 and multi_rank >= 10
 
 
 def test_fuzz_smoke_parsers_raise_structured_errors():

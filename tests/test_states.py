@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -32,8 +33,11 @@ from helpers import (
     random_formula,
     first_modularity_witness,
     first_transitivity_witness,
+    properties_oracle,
+    q_strict_oracle,
     random_layered,
     random_state,
+    random_strict_order,
     small_universe,
 )
 
@@ -197,21 +201,60 @@ def test_class_intersections_at_two_worlds():
     assert (b, t, q, qs, ts) == (10, 3, 3, 3, 3)
 
 
-def test_in_q_strict_undefined_above_three_worlds():
-    u = small_universe(4)
-    assert classify_class(relation(u)).in_q_strict is None
+def test_in_q_strict_matches_completion_oracle_above_three_worlds():
+    # Q< membership is closed-form at every size; the oracle builds the
+    # one possible total quasi-transitive relation with strict part r
+    rng = random.Random(641)
+    members = non_members = 0
+    for _ in range(300):
+        u = small_universe(rng.randint(4, 8))
+        ws = u.worlds
+        order = random_strict_order(rng, u, rng.choice((0.1, 0.3, 0.6)))
+        x, y = rng.choice(sorted(order)) if order else (ws[0], ws[1])
+        w = rng.choice(ws)
+        density = rng.choice((0.05, 0.15, 0.4))
+        candidates = (
+            order,
+            order | {(y, x)},
+            order | {(w, w)},
+            frozenset((a, b) for a in ws for b in ws if rng.random() < density),
+        )
+        for pairs in candidates:
+            r = relation(u, pairs)
+            expected = q_strict_oracle(r)
+            assert classify_class(r).in_q_strict == expected
+            members += expected
+            non_members += not expected
+    assert members > 300 and non_members > 600
 
 
-def test_in_q_strict_search_matches_asymmetric_transitive_criterion():
-    # the completion-free criterion agrees with the exhaustive search
-    # wherever the search is defined
-    for n in (1, 2, 3):
-        u = small_universe(n)
-        for r in all_relations(u):
-            flags = classify_properties(r)
-            assert classify_class(r).in_q_strict == (
-                flags.asymmetric and flags.transitive
-            )
+def test_property_flags_match_pair_oracles_above_three_worlds():
+    rng = random.Random(653)
+    values = set()
+    kinds = set()
+    for _ in range(400):
+        u = small_universe(rng.randint(4, 9))
+        ws = u.worlds
+        kind = rng.randrange(3)
+        if kind == 0:
+            density = rng.choice((0.05, 0.15, 0.3, 0.6, 0.9))
+            pairs = {(a, b) for a in ws for b in ws if rng.random() < density}
+        elif kind == 1:
+            pairs = set(random_strict_order(rng, u, rng.choice((0.2, 0.5))))
+        else:
+            pairs = set(random_state(rng, u).relation.pairs)
+        # a few random flips break or keep transitivity and acyclicity
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            pairs ^= {(rng.choice(ws), rng.choice(ws))}
+        r = relation(u, pairs)
+        flags = dataclasses.asdict(classify_properties(r))
+        assert flags == properties_oracle(r)
+        values.update(flags.items())
+        kinds.add((flags["quasi_transitive"], flags["acyclic"]))
+    # every flag takes both values; quasi-transitive relations occur, and
+    # cyclic and acyclic ones that are not
+    assert len(values) == 2 * len(flags)
+    assert kinds == {(True, True), (False, True), (False, False)}
 
 
 def test_agnosticism_transitive_iff_modular():
