@@ -201,6 +201,24 @@ def test_class_intersections_at_two_worlds():
     assert (b, t, q, qs, ts) == (10, 3, 3, 3, 3)
 
 
+def test_in_q_strict_search_matches_asymmetric_transitive_criterion():
+    # at |W| <= 3 the exhaustive search over total quasi-transitive
+    # relations, the asymmetric-and-transitive criterion read from the
+    # pair-set definitions, and in_q_strict all pick the same relations
+    for n in (1, 2, 3):
+        u = small_universe(n)
+        searched = set()
+        for r in all_relations(u):
+            flags = properties_oracle(r)
+            if flags["total"] and flags["quasi_transitive"]:
+                searched.add(strict_version(r).pairs)
+        for r in all_relations(u):
+            flags = properties_oracle(r)
+            criterion = flags["asymmetric"] and flags["transitive"]
+            assert (r.pairs in searched) == criterion
+            assert classify_class(r).in_q_strict == criterion
+
+
 def test_in_q_strict_matches_completion_oracle_above_three_worlds():
     # Q< membership is closed-form at every size; the oracle builds the
     # one possible total quasi-transitive relation with strict part r
