@@ -20,7 +20,7 @@ is more credible). Four operators are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable
 
 from .relations import (
     Relation,
@@ -108,38 +108,35 @@ def agr_un(p: Profile) -> BeliefState:
     return BeliefState(transitive_closure(un(p)))
 
 
-def refine(u: WorldUniverse, per_rank: Mapping[int, Relation]) -> list[Level]:
+def refine(u: WorldUniverse, levels: Iterable[Level]) -> list[Level]:
     """Refinement across ranks, split by rank, highest first.
 
-    Rank r keeps the pairs of ``per_rank[r]`` on which no higher rank
-    holds an opinion in either direction; ranks left with no pair are
-    dropped. A pair kept at rank r appears at no higher rank, so r is the
-    highest rank supporting it.
+    ``levels`` gives (rank, relation) pairs in any order, any number per
+    rank; the relations of one rank are united first. Rank r keeps the
+    pairs of its union on which no higher rank holds an opinion in either
+    direction; ranks left with no pair are dropped. A pair kept at rank r
+    appears at no higher rank, so r is the highest rank supporting it.
     """
+    per_rank: dict[int, list[Relation]] = {}
+    for rank, rel in levels:
+        per_rank.setdefault(rank, []).append(rel)
     opinion = [0] * len(u)  # pairs a higher rank relates, either way round
-    levels = []
+    refined = []
     ranks = sorted(per_rank, reverse=True)
     for k, rank in enumerate(ranks):
-        rel = per_rank[rank]
+        rel = union_all(per_rank[rank])
         kept = tuple([row & ~o for row, o in zip(rel.rows, opinion)])
         if any(kept):
-            levels.append((rank, rel if kept == rel.rows else Relation(u, kept)))
+            refined.append((rank, rel if kept == rel.rows else Relation(u, kept)))
         if k + 1 < len(ranks):
             opinion = [o | row | col for o, row, col in zip(opinion, rel.rows, rel.cols)]
-    return levels
-
-
-def _rank_unions(p: Profile) -> dict[int, Relation]:
-    return {
-        rank: union_all([s.state.relation for s in p.sources if s.rank == rank])
-        for rank in p.ranks()
-    }
+    return refined
 
 
 def refinement_levels(p: Profile) -> list[Level]:
     """``agr_rf`` split by pedigree label: (rank, pairs) per rank, highest
     first, each pair under the highest rank of a source asserting it."""
-    return refine(p.universe, _rank_unions(p))
+    return refine(p.universe, [(s.rank, s.state.relation) for s in p.sources])
 
 
 def agr_rf(p: Profile) -> Relation:
@@ -163,7 +160,15 @@ def agr(p: Profile) -> BeliefState:
 
 
 def agr_star(p: Profile) -> BeliefState:
-    """Close each rank's union first, then refine across ranks."""
-    closed = {rank: transitive_closure(rel) for rank, rel in _rank_unions(p).items()}
-    levels = refine(p.universe, closed)
-    return BeliefState.from_relation(union_all([rel for _, rel in levels], p.universe))
+    """Close each rank's union first, then refine across ranks.
+
+    Each rank then holds one belief state (a union of modular relations
+    is modular, and closure keeps it so), so this is ``agr_rf`` of one
+    state per rank, ranks strictly ordered: the case its docstring calls
+    transitive. The result is a belief state by construction.
+    """
+    closed = [
+        (rank, transitive_closure(union_all([s.state.relation for s in p.sources if s.rank == rank])))
+        for rank in p.ranks()
+    ]
+    return BeliefState(union_all([rel for _, rel in refine(p.universe, closed)], p.universe))

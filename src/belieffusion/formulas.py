@@ -12,11 +12,15 @@ connectives. Grammar, loosest first:
 Variables match [A-Za-z_][A-Za-z0-9_]* minus the keywords; whitespace is
 insignificant.
 
+Parsing is one operator-precedence loop over the tokens, and every walk
+over a tree (printing, evaluation, ``variables_of``) uses an explicit
+stack, so a formula of any nesting depth or length is accepted.
+
 A formula is evaluated over a whole valuation universe at once, as a bit
 mask in universe order (a truth table as a bit vector): a variable is the
 mask of the worlds where it is true, and each connective is one big-int
 operation on its operands' masks. ``models_mask`` makes one pass over the
-formula tree, whatever the number of worlds.
+formula tree, with no recursion, whatever the number of worlds.
 """
 
 from __future__ import annotations
@@ -108,131 +112,117 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
-
-    def offset(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return len(self.text)
-
-    def take(self, expected: str) -> None:
-        if self.peek() != expected:
-            raise FormulaSyntaxError(
-                self.offset(), f"expected {expected!r}, found {self.peek()!r}"
-            )
-        self.pos += 1
-
-    def parse(self) -> Formula:
-        f = self.iff()
-        if self.peek() is not None:
-            raise FormulaSyntaxError(
-                self.offset(), f"unexpected trailing token {self.peek()!r}"
-            )
-        return f
-
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek() == "<->":
-            self.take("<->")
-            f = Iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        f = self.disj()
-        if self.peek() == "->":
-            self.take("->")
-            return Implies(f, self.imp())
-        return f
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek() == "|":
-            self.take("|")
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.take("&")
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError(self.offset(), "expected a formula, found end of input")
-        if tok == "!":
-            self.take("!")
-            return Not(self.unary())
-        if tok == "(":
-            self.take("(")
-            f = self.iff()
-            self.take(")")
-            return f
-        if tok == "true":
-            self.take("true")
-            return Const(True)
-        if tok == "false":
-            self.take("false")
-            return Const(False)
-        if tok not in _OPERATORS:
-            self.pos += 1
-            return Var(tok)
-        raise FormulaSyntaxError(self.offset(), f"expected a formula, found {tok!r}")
+# Binary connectives: (precedence level, node), loosest first. "!" binds
+# at level _NOT_LEVEL, tighter than all of them; "->" is the only
+# right-associative connective.
+_BINARY = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And)}
+_NOT_LEVEL = 5
+_SYMBOL = {node: (symbol, level) for symbol, (level, node) in _BINARY.items()}
 
 
 def parse_formula(text: str) -> Formula:
-    return _Parser(text).parse()
+    """Operator-precedence parse of ``text``, one loop over its tokens.
 
-
-_PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Var: 6, Const: 6}
+    ``pending`` holds the open parentheses, as (0, None), and the
+    connectives still waiting for their right operand, as (level, node).
+    A connective applies every pending one at its level or tighter (for
+    "->", only strictly tighter ones) before it is pushed; ")" and the
+    end of input apply all of them down to the innermost "(".
+    """
+    operands: list[Formula] = []
+    pending: list[tuple[int, type | None]] = []
+    want_operand = True
+    for tok, offset in _tokenize(text) + [(None, len(text))]:
+        if want_operand:
+            if tok == "!":
+                pending.append((_NOT_LEVEL, Not))
+            elif tok == "(":
+                pending.append((0, None))
+            elif tok is None or tok in _OPERATORS:
+                found = "end of input" if tok is None else repr(tok)
+                raise FormulaSyntaxError(offset, f"expected a formula, found {found}")
+            else:
+                operands.append(Const(tok == "true") if tok in KEYWORDS else Var(tok))
+                want_operand = False
+            continue
+        binary = _BINARY.get(tok)
+        floor = binary[0] if binary else 1
+        if tok == "->":
+            floor += 1  # right-associative: a pending "->" stays pending
+        while pending and pending[-1][0] >= floor:
+            node = pending.pop()[1]
+            if node is Not:
+                operands[-1] = Not(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = node(operands[-1], right)
+        # Unless tok is a connective, pending is now empty or ends in the
+        # innermost open "(".
+        if binary:
+            pending.append(binary)
+            want_operand = True
+        elif pending and tok == ")":
+            pending.pop()
+        elif pending:
+            raise FormulaSyntaxError(offset, f"expected ')', found {tok!r}")
+        elif tok is not None:
+            raise FormulaSyntaxError(offset, f"unexpected trailing token {tok!r}")
+    return operands[0]
 
 
 def format_formula(f: Formula) -> str:
-    """Canonical printer; parse_formula(format_formula(f)) == f."""
+    """Canonical printer; parse_formula(format_formula(f)) == f.
 
-    def go(node: Formula, parent_level: int) -> str:
-        level = _PRECEDENCE[type(node)]
-        if isinstance(node, Var):
-            s = node.name
-        elif isinstance(node, Const):
-            s = "true" if node.value else "false"
-        elif isinstance(node, Not):
-            s = "!" + go(node.operand, level)
-        elif isinstance(node, And):
-            s = f"{go(node.left, level)} & {go(node.right, level + 1)}"
-        elif isinstance(node, Or):
-            s = f"{go(node.left, level)} | {go(node.right, level + 1)}"
-        elif isinstance(node, Implies):
-            # right-associative: parenthesize a nested implication on the left
-            s = f"{go(node.left, level + 1)} -> {go(node.right, level)}"
+    ``todo`` holds literal text and (node, level) pairs still to print,
+    the next one last; a node looser than its level is parenthesized.
+    """
+    pieces: list[str] = []
+    todo: list = [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            pieces.append(item)
+            continue
+        node, outer = item
+        kind = type(node)
+        if kind is Var:
+            pieces.append(node.name)
+        elif kind is Const:
+            pieces.append("true" if node.value else "false")
+        elif kind is Not:
+            # nothing binds tighter than "!", so it is never parenthesized
+            pieces.append("!")
+            todo.append((node.operand, _NOT_LEVEL))
         else:
-            s = f"{go(node.left, level)} <-> {go(node.right, level + 1)}"
-        if level < parent_level:
-            return f"({s})"
-        return s
+            symbol, level = _SYMBOL[kind]
+            if level < outer:
+                pieces.append("(")
+                todo.append(")")
+            # a nested operand at the same level goes on the right, except
+            # for the right-associative "->"
+            left, right = (level + 1, level) if kind is Implies else (level, level + 1)
+            todo += [(node.right, right), f" {symbol} ", (node.left, left)]
+    return "".join(pieces)
 
-    return go(f, 0)
+
+def _postorder(f: Formula) -> list[Formula]:
+    """The nodes of ``f``, each after its operands, left operand first."""
+    order = []
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is Not:
+            todo.append(node.operand)
+        elif kind is not Var and kind is not Const:
+            todo += [node.left, node.right]
+    order.reverse()
+    return order
 
 
 def variables_of(f: Formula) -> frozenset[str]:
-    if isinstance(f, Var):
-        return frozenset({f.name})
-    if isinstance(f, Const):
-        return frozenset()
-    if isinstance(f, Not):
-        return variables_of(f.operand)
-    return variables_of(f.left) | variables_of(f.right)
+    return frozenset(node.name for node in _postorder(f) if type(node) is Var)
 
 
 def satisfies(valuation: Mapping[str, bool], f: Formula) -> bool:
@@ -246,34 +236,39 @@ def satisfies(valuation: Mapping[str, bool], f: Formula) -> bool:
 
 
 def _evaluate(f: Formula, masks: Mapping[str, int], full: int) -> int:
-    """The mask of the worlds satisfying ``f``, given each variable's mask."""
+    """The mask of the worlds satisfying ``f``, given each variable's mask.
+
+    A fold over the post-order walk with a stack of operand masks. Every
+    node is evaluated, so an undeclared variable anywhere in ``f`` is an
+    error.
+    """
+    values: list[int] = []
     try:
-        return _mask(f, masks, full)
+        for node in _postorder(f):
+            kind = type(node)
+            if kind is Var:
+                values.append(masks[node.name])
+            elif kind is Const:
+                values.append(full if node.value else 0)
+            elif kind is Not:
+                values[-1] = full & ~values[-1]
+            else:
+                b = values.pop()
+                a = values[-1]
+                if kind is And:
+                    values[-1] = a & b
+                elif kind is Or:
+                    values[-1] = a | b
+                elif kind is Implies:
+                    values[-1] = (full & ~a) | b
+                else:
+                    values[-1] = full & ~(a ^ b)
     except KeyError:
         missing = variables_of(f) - set(masks)
         raise UndeclaredVariableError(
             f"undeclared variable(s): {', '.join(sorted(missing))}"
         ) from None
-
-
-def _mask(f: Formula, masks: Mapping[str, int], full: int) -> int:
-    # Both operands of a binary connective are always evaluated, so an
-    # undeclared variable anywhere in f raises KeyError.
-    if isinstance(f, Var):
-        return masks[f.name]
-    if isinstance(f, Const):
-        return full if f.value else 0
-    if isinstance(f, Not):
-        return full & ~_mask(f.operand, masks, full)
-    a = _mask(f.left, masks, full)
-    b = _mask(f.right, masks, full)
-    if isinstance(f, And):
-        return a & b
-    if isinstance(f, Or):
-        return a | b
-    if isinstance(f, Implies):
-        return (full & ~a) | b
-    return full & ~(a ^ b)
+    return values[0]
 
 
 @dataclass(frozen=True)

@@ -137,12 +137,7 @@ def fuse(
     for s in states:
         if s.universe != base:
             raise UniverseMismatchError("pedigreed states span different universes")
-    per_rank: dict[int, list[Relation]] = {}
-    for s in states:
-        for r, rel in s.levels:
-            per_rank.setdefault(r, []).append(rel)
-    unions = {r: union_all(rels) for r, rels in per_rank.items()}
-    return PedigreedBeliefState.from_levels(base, refine(base, unions))
+    return PedigreedBeliefState.from_levels(base, refine(base, [level for s in states for level in s.levels]))
 
 
 def fuse_equal_rank(states: Sequence[BeliefState]) -> BeliefState:

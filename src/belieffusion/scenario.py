@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from .aggregation import Profile, Source
 from .bitset import bits
 from .formulas import PropUniverse, canonical_world_name, generate_universe
-from .pedigree import Agent, PedigreedBeliefState
-from .relations import Relation, WorldUniverse, relation
+from .pedigree import Agent, PedigreedBeliefState, induced_state
+from .relations import WorldUniverse, relation
 from .states import BeliefState, Block, LayeredForm, from_layers, to_layers
 
 FORMAT_HEADER = "# format 1"
@@ -129,7 +129,6 @@ class _SourceDraft:
     rank: int
     pairs: list[tuple[str, str]]
     layers: LayeredForm | None = None
-    has_pairs: bool = False
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -230,7 +229,6 @@ def parse_scenario(text: str) -> Scenario:
             draft = drafts[-1]
             if draft.layers is not None:
                 raise lp.error("source already has a 'layers' line")
-            draft.has_pairs = True
             while True:
                 x = _expect_world(lp, universe)
                 lp.expect("<")
@@ -249,7 +247,7 @@ def parse_scenario(text: str) -> Scenario:
             draft = drafts[-1]
             if draft.layers is not None:
                 raise lp.error("source already has a 'layers' line")
-            if draft.has_pairs:
+            if draft.pairs:
                 raise lp.error("source mixes 'pairs' and 'layers'")
             draft.layers = _parse_layers(lp, universe)
             continue
@@ -434,8 +432,6 @@ def export_dot(obj: LayeredForm | PedigreedBeliefState) -> str:
     transitive-reduction style of the node graph).
     """
     if isinstance(obj, PedigreedBeliefState):
-        from .pedigree import induced_state
-
         layered = to_layers(induced_state(obj))
         levels = obj.levels
     else:

@@ -33,7 +33,7 @@ from belieffusion import (
     relation,
     to_layers,
 )
-from belieffusion.formulas import And, Const, Iff, Implies, Not, Or, Var
+from belieffusion.formulas import And, Const, Formula, Iff, Implies, Not, Or, Var
 
 LETTERS = "abcdefgh"
 
@@ -265,6 +265,98 @@ def formula_tokens_oracle(text: str) -> list[tuple[str, int]]:
         tokens.append((m.group("name") or m.group("op"), m.start("name") if m.group("name") else m.start("op")))
         pos = m.end()
     return tokens
+
+
+_FORMULA_OPERATORS = frozenset({"<->", "->", "!", "&", "|", "(", ")"})
+
+
+class _FormulaParserOracle:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = formula_tokens_oracle(text)
+        self.pos = 0
+
+    def peek(self) -> str | None:
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos][0]
+        return None
+
+    def offset(self) -> int:
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos][1]
+        return len(self.text)
+
+    def take(self, expected: str) -> None:
+        if self.peek() != expected:
+            raise FormulaSyntaxError(
+                self.offset(), f"expected {expected!r}, found {self.peek()!r}"
+            )
+        self.pos += 1
+
+    def parse(self) -> Formula:
+        f = self.iff()
+        if self.peek() is not None:
+            raise FormulaSyntaxError(
+                self.offset(), f"unexpected trailing token {self.peek()!r}"
+            )
+        return f
+
+    def iff(self) -> Formula:
+        f = self.imp()
+        while self.peek() == "<->":
+            self.take("<->")
+            f = Iff(f, self.imp())
+        return f
+
+    def imp(self) -> Formula:
+        f = self.disj()
+        if self.peek() == "->":
+            self.take("->")
+            return Implies(f, self.imp())
+        return f
+
+    def disj(self) -> Formula:
+        f = self.conj()
+        while self.peek() == "|":
+            self.take("|")
+            f = Or(f, self.conj())
+        return f
+
+    def conj(self) -> Formula:
+        f = self.unary()
+        while self.peek() == "&":
+            self.take("&")
+            f = And(f, self.unary())
+        return f
+
+    def unary(self) -> Formula:
+        tok = self.peek()
+        if tok is None:
+            raise FormulaSyntaxError(self.offset(), "expected a formula, found end of input")
+        if tok == "!":
+            self.take("!")
+            return Not(self.unary())
+        if tok == "(":
+            self.take("(")
+            f = self.iff()
+            self.take(")")
+            return f
+        if tok == "true":
+            self.take("true")
+            return Const(True)
+        if tok == "false":
+            self.take("false")
+            return Const(False)
+        if tok not in _FORMULA_OPERATORS:
+            self.pos += 1
+            return Var(tok)
+        raise FormulaSyntaxError(self.offset(), f"expected a formula, found {tok!r}")
+
+
+def parse_formula_oracle(text: str):
+    """The formula parser as it was before it became one precedence loop:
+    recursive descent, one method per grammar level."""
+    return _FormulaParserOracle(text).parse()
 
 
 _SCENARIO_PUNCT = {"<", ">", "=", ",", "[", "]", "*"}

@@ -148,7 +148,7 @@ def test_outputs_are_belief_states_randomized():
         u = small_universe(rng.randint(1, 6))
         p = random_profile(rng, u)
         for op in (agr_un, agr_star, agr):
-            state = op(p)  # constructor re-validates membership
+            state = op(p)  # built without validation: check membership here
             flags = classify_properties(state.relation)
             assert flags.modular and flags.transitive
         refined = agr_rf(p)

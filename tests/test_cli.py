@@ -1,3 +1,4 @@
+import pathlib
 from itertools import product
 
 import pytest
@@ -195,6 +196,18 @@ def test_query_syntax_error(runner, scenario_file):
         ],
     )
     assert result.exit_code == 2
+
+
+def test_query_long_and_deep_formulas(runner):
+    # A flat 3000-conjunct condition and a 1000-deep "!" chain answer as
+    # the one-variable condition they are equivalent to.
+    path = str(pathlib.Path(__file__).parent.parent / "scenarios" / "telemetry.scn")
+    args = ["query", path, "--agent", "center1", "--then", "D", "--if"]
+    short = runner.invoke(main, [*args, "F"])
+    assert (short.exit_code, short.output) == (0, "BEL\nchoice: nominal\n")
+    for condition in (" & ".join(["F"] * 3000), "!" * 1000 + "F"):
+        result = runner.invoke(main, [*args, condition])
+        assert (result.exit_code, result.output) == (0, short.output)
 
 
 def test_query_needs_vars(runner, scenario_file):

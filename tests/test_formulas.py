@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,8 +14,25 @@ from belieffusion import (
     parse_formula,
     satisfies,
 )
-from belieffusion.formulas import And, Const, Iff, Implies, Not, Or, Var, _tokenize, models_mask
-from helpers import aliased_prop_universe, formula_tokens_oracle, models_oracle, random_formula
+from belieffusion.formulas import (
+    And,
+    Const,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Var,
+    _tokenize,
+    models_mask,
+    variables_of,
+)
+from helpers import (
+    aliased_prop_universe,
+    formula_tokens_oracle,
+    models_oracle,
+    parse_formula_oracle,
+    random_formula,
+)
 
 
 def test_parse_basic_connectives():
@@ -203,3 +221,80 @@ def test_undeclared_variables_are_all_named_sorted():
     for text in ("false & (Z | Y)", "true | Y -> Z", "A & Z & Y"):
         with pytest.raises(UndeclaredVariableError, match=r"^undeclared variable\(s\): Y, Z$"):
             models(pu, parse_formula(text))
+
+
+FORMULA_TOKENS = ("A", "B", "x_1", "true", "false", "!", "&", "|", "->", "<->", "(", ")")
+
+
+def random_formula_text(rng):
+    """A random token string, mostly malformed, or the printed form of a
+    random tree with a token dropped, repeated or inserted."""
+    if rng.random() < 0.6:
+        toks = [rng.choice(FORMULA_TOKENS) for _ in range(rng.randrange(12))]
+    else:
+        toks = format_formula(random_tree(rng, depth=4)).replace("(", "( ").replace(")", " )").split()
+        if rng.random() < 0.5 and toks:
+            i = rng.randrange(len(toks))
+            toks[i : i + 1] = rng.choice(([], [toks[i]] * 2, [toks[i], rng.choice(FORMULA_TOKENS)]))
+    return "".join(tok + rng.choice(("", " ", "  ")) for tok in toks)
+
+
+def test_parser_matches_the_recursive_descent_oracle():
+    rng = random.Random(7301)
+    valid = 0
+    for _ in range(20_000):
+        text = random_formula_text(rng)
+        try:
+            expected = parse_formula_oracle(text)
+        except FormulaSyntaxError as e:
+            with pytest.raises(FormulaSyntaxError) as exc:
+                parse_formula(text)
+            assert (exc.value.offset, exc.value.reason) == (e.offset, e.reason), text
+            continue
+        valid += 1
+        assert parse_formula(text) == expected, text
+    assert 2_000 < valid < 18_000
+
+
+DEEP = 10**5
+
+
+@pytest.mark.parametrize("shape", ["!", "(", "&", "->", "<->", "!("])
+def test_deep_formulas_on_every_path(shape):
+    # Deep trees are compared by printed text and by mask: the dataclass
+    # __eq__ of the nodes is itself recursive.
+    pu = generate_universe(["A", "B"])
+    full = (1 << len(pu.universe)) - 1
+    a = pu.masks["A"]
+    names = ["A" if i % 2 == 0 else "B" for i in range(DEEP)]
+    leaves = [pu.masks[n] for n in names]
+    if shape in ("!", "!("):
+        opener, closer = ("!", "") if shape == "!" else ("!(", ")")
+        text = opener * DEEP + "A" + closer * DEEP
+        printed, mask = "!" * DEEP + "A", a  # DEEP is even
+    elif shape == "(":
+        text = "(" * DEEP + "A" + ")" * DEEP
+        printed, mask = "A", a
+    else:
+        text = printed = f" {shape} ".join(names)
+        if shape == "&":
+            mask = reduce(lambda x, y: x & y, leaves)
+        elif shape == "<->":
+            mask = reduce(lambda x, y: full & ~(x ^ y), leaves)
+        else:  # "->" groups to the right
+            mask = reduce(lambda y, x: (full & ~x) | y, reversed(leaves))
+    f = parse_formula(text)
+    assert format_formula(f) == printed
+    if printed != text:
+        assert format_formula(parse_formula(printed)) == printed
+    assert models_mask(pu, f) == mask
+    assert variables_of(f) == ({"A"} if shape in ("!", "(", "!(") else {"A", "B"})
+    # world "A.!B", at index 1
+    assert satisfies({"A": True, "B": False}, f) == bool(mask & 0b10)
+
+
+def test_deep_unclosed_parenthesis_is_a_positioned_error():
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula("(" * DEEP + "A")
+    assert exc.value.offset == DEEP + 1
+    assert exc.value.reason == "expected ')', found None"
