@@ -41,14 +41,26 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _decode(data: bytes) -> str:
+    """The UTF-8 text of a scenario file, or a ParseError at its first
+    byte that is not UTF-8, in lines and columns as the parser counts them."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # "_" stands in for the bad byte, so that splitlines() keeps the
+        # line it starts even when that line is empty so far.
+        lines = (data[: e.start].decode("utf-8") + "_").splitlines()
+        raise ParseError(len(lines), len(lines[-1]), "not valid UTF-8") from None
+
+
 def _load(path: str) -> Scenario:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         _fail(2, f"cannot read {path}: {e}")
     try:
-        return parse_scenario(text)
+        return parse_scenario(_decode(data))
     except ParseError as e:
         _fail(2, f"{path}: {e}")
     except (NotModularError, NotTransitiveError) as e:

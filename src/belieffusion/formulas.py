@@ -13,8 +13,9 @@ Variables match [A-Za-z_][A-Za-z0-9_]* minus the keywords; whitespace is
 insignificant.
 
 Parsing is one operator-precedence loop over the tokens, and every walk
-over a tree (printing, evaluation, ``variables_of``) uses an explicit
-stack, so a formula of any nesting depth or length is accepted.
+over a tree (printing, evaluation, ``variables_of``, and the nodes' ``==``,
+``hash`` and ``repr``) uses an explicit stack, so a formula of any
+nesting depth or length is accepted.
 
 A formula is evaluated over a whole valuation universe at once, as a bit
 mask in universe order (a truth table as a bit vector): a variable is the
@@ -56,41 +57,94 @@ class UndeclaredVariableError(ValueError):
     """A formula mentions a variable the universe does not declare."""
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    """``==``, ``hash`` and ``repr`` of the formula nodes, each one loop
+    over an explicit stack: the dataclass-generated ones recurse, and fail
+    on deep trees. ``repr`` prints what the dataclass one would."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if isinstance(a, _Node) and a.__class__ is b.__class__:
+                todo += zip(a._values(), b._values())
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        done: dict[int, int] = {}  # id of a node -> its hash
+        todo = [self]
+        while todo:
+            node = todo[-1]
+            values = node._values()
+            waiting = [v for v in values if isinstance(v, _Node) and id(v) not in done]
+            if waiting:
+                todo += waiting
+                continue
+            todo.pop()
+            key = tuple(done[id(v)] if isinstance(v, _Node) else v for v in values)
+            done[id(node)] = hash((node.__class__, key))
+        return done[id(self)]
+
+    def __repr__(self) -> str:
+        pieces: list[str] = []
+        todo: list = [self]  # text still to write, and nodes, the next one last
+        while todo:
+            item = todo.pop()
+            if not isinstance(item, _Node):
+                pieces.append(item)
+                continue
+            parts = [f"{item.__class__.__qualname__}("]
+            for i, (name, value) in enumerate(zip(item.__dataclass_fields__, item._values())):
+                parts += [f"{', ' if i else ''}{name}=", value if isinstance(value, _Node) else repr(value)]
+            parts.append(")")
+            todo += reversed(parts)
+        return "".join(pieces)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+@dataclass(frozen=True, eq=False, repr=False)
+class Const(_Node):
     value: bool
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Node):
     operand: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False, repr=False)
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Iff:
+@dataclass(frozen=True, eq=False, repr=False)
+class Iff(_Node):
     left: "Formula"
     right: "Formula"
 

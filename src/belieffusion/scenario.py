@@ -13,7 +13,17 @@ declaration per line):
 
 ``pairs`` sources are validated into belief states (modular + transitive)
 and name the offending source on failure; ``layers`` sources are belief
-states by construction. Serialized pedigrees use the canonical wire format
+states by construction. A rank is a run of decimal digits
+(``str.isdecimal``: digits of any script, each one that ``int`` reads).
+
+Each line is read as a list of plain token strings. A ``pairs`` line is
+one index loop that ORs each pair's bit into the source's row masks; a
+``layers`` line is one loop that builds a mask per block, checks overlap
+and coverage once on those masks, and fills the rows from them. Nothing
+is validated twice. Errors are raised at a token index, and only then is
+the line tokenized again to find the column, so every ParseError still
+carries its line, column, reason and token. Serialized pedigrees use the
+canonical wire format
 
     pedigree
     a < b @ 2
@@ -31,14 +41,14 @@ from .aggregation import Profile, Source
 from .bitset import bits
 from .formulas import PropUniverse, canonical_world_name, generate_universe
 from .pedigree import Agent, PedigreedBeliefState, induced_state
-from .relations import WorldUniverse, relation
-from .states import BeliefState, Block, LayeredForm, from_layers, to_layers
+from .relations import Relation, WorldUniverse
+from .states import BeliefState, LayeredForm, to_layers
 
 FORMAT_HEADER = "# format 1"
 
 # A token is one punctuation character or a run of characters that are
 # neither whitespace, punctuation nor '#'; whitespace is skipped.
-_TOKEN_RE = re.compile(r"[<>=,\[\]*]|[^\s<>=,\[\]*#]+")
+_PUNCTUATION = [(c, f" {c} ") for c in "<>=,[]*"]
 
 #: The most variables a ``vars`` line may declare. ``vars`` builds all
 #: 2^k worlds at once, and a relation over 2^12 = 4096 worlds already
@@ -78,209 +88,208 @@ class Scenario:
         raise KeyError(f"unknown agent id {agent_id!r}")
 
 
-def _tokenize_line(text: str) -> list[tuple[str, int]]:
-    """Split one line into (token, 1-based column) pairs; '#' starts a comment."""
+def _line_tokens(text: str) -> list[str]:
+    """The tokens of one line; '#' starts a comment.
+
+    With spaces around every punctuation character, ``str.split`` finds
+    exactly the tokens, and in less time than a regular-expression scan:
+    it splits at whitespace as ``str.isspace`` defines it, which is
+    what ``\\s`` matches in a regular expression.
+    """
     code = text.partition("#")[0]
-    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(code)]
+    for c, spaced in _PUNCTUATION:
+        code = code.replace(c, spaced)
+    return code.split()
 
 
-class _LineParser:
-    """Cursor over one tokenized line."""
+def _tokenize_line(text: str) -> list[tuple[str, int]]:
+    """(token, 1-based column) pairs of one line, for error messages.
 
-    def __init__(self, lineno: int, tokens: list[tuple[str, int]], raw: str):
-        self.lineno = lineno
-        self.tokens = tokens
-        self.raw = raw
-        self.pos = 0
+    Only whitespace lies between two tokens, and no token starts with
+    whitespace, so a token stands where it first occurs after the end of
+    the previous one.
+    """
+    tokens = []
+    end = 0
+    for tok in _line_tokens(text):
+        start = text.index(tok, end)
+        tokens.append((tok, start + 1))
+        end = start + len(tok)
+    return tokens
 
-    def error(self, message: str, token: str = "") -> ParseError:
-        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.raw) + 1
-        return ParseError(self.lineno, col, message, token)
 
-    def error_at_last(self, message: str, token: str = "") -> ParseError:
-        """Like error(), but pointing at the most recently consumed token."""
-        self.pos = max(0, self.pos - 1)
-        return self.error(message, token)
+class _TokenError(Exception):
+    """A parse failure at token ``at`` of its line; an ``at`` past the
+    last token is the end of the line. Lines are read as plain token
+    strings, so the column is found only here, when the line reader turns
+    this into a ParseError."""
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+    def __init__(self, at: int, reason: str, token: str = ""):
+        self.at = at
+        self.reason = reason
+        self.token = token
 
-    def next(self, what: str) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise self.error(f"expected {what}, found end of line")
-        self.pos += 1
-        return tok
+    def at_line(self, lineno: int, raw: str) -> ParseError:
+        tokens = _tokenize_line(raw)
+        column = tokens[self.at][1] if self.at < len(tokens) else len(raw) + 1
+        return ParseError(lineno, column, self.reason, self.token)
 
-    def expect(self, literal: str) -> None:
-        tok = self.next(repr(literal))
-        if tok != literal:
-            self.pos -= 1
-            raise self.error(f"expected {literal!r}, found {tok!r}", tok)
 
-    def done(self) -> None:
-        if self.peek() is not None:
-            raise self.error(f"unexpected trailing token {self.peek()!r}", self.peek())
+def _take(t: list[str], i: int, what: str) -> str:
+    if i >= len(t):
+        raise _TokenError(i, f"expected {what}, found end of line")
+    return t[i]
+
+
+def _expect(t: list[str], i: int, literal: str) -> None:
+    if _take(t, i, repr(literal)) != literal:
+        raise _TokenError(i, f"expected {literal!r}, found {t[i]!r}", t[i])
+
+
+def _done(t: list[str], i: int) -> None:
+    if i < len(t):
+        raise _TokenError(i, f"unexpected trailing token {t[i]!r}", t[i])
+
+
+def _world(t: list[str], i: int, index: dict[str, int]) -> int:
+    name = _take(t, i, "a world name")
+    if name not in index:
+        raise _TokenError(i, f"unknown world {name!r}", name)
+    return index[name]
 
 
 @dataclass
 class _SourceDraft:
     id: str
     rank: int
-    pairs: list[tuple[str, str]]
-    layers: LayeredForm | None = None
+    rows: list[int]
+    body: str = ""  # "pairs" or "layers", once a body line is read
 
 
 def parse_scenario(text: str) -> Scenario:
     universe: WorldUniverse | None = None
     prop: PropUniverse | None = None
-    drafts: list[_SourceDraft] = []
-    agent_rows: list[tuple[str, list[str]]] = []
-    sources_started = False
+    drafts: dict[str, _SourceDraft] = {}
+    draft: _SourceDraft | None = None  # the source body lines belong to
+    agent_ids: dict[str, list[str]] = {}
 
     def finish(draft: _SourceDraft) -> Source:
-        if draft.layers is not None:
-            state = from_layers(draft.layers)
+        r = Relation(universe, draft.rows)
+        if draft.body == "layers":
+            state = BeliefState(r)
         else:
-            r = relation(universe, draft.pairs)
             state = BeliefState.from_relation(r, subject=draft.id)
         return Source(draft.id, draft.rank, state)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw)
-        if not tokens:
+        t = _line_tokens(raw)
+        if not t:
             continue
-        lp = _LineParser(lineno, tokens, raw)
-        indented = tokens[0][1] > 1
-        keyword = lp.next("a declaration keyword")
+        keyword = t[0]
+        n = len(t)
+        try:
+            if keyword == "pairs" or keyword == "layers":
+                # A line that starts with a token is not indented.
+                if not raw[0].isspace() or draft is None:
+                    raise _TokenError(1, f"{keyword!r} must be indented under a source")
+                if draft.body == "layers":
+                    raise _TokenError(1, "source already has a 'layers' line")
+                if keyword == "pairs":
+                    _read_pairs(t, universe, draft.rows)
+                else:
+                    if draft.body:
+                        raise _TokenError(1, "source mixes 'pairs' and 'layers'")
+                    draft.rows = _read_layers(t, universe)
+                draft.body = keyword
 
-        if keyword in ("worlds", "vars"):
-            if universe is not None:
-                raise lp.error("universe already declared")
-            names = []
-            while lp.peek() is not None:
-                names.append(lp.next("a name"))
-            if not names:
-                raise lp.error(f"{keyword} needs at least one name")
-            if keyword == "vars" and len(names) > MAX_VARS:
-                first_over, column = tokens[1 + MAX_VARS]
-                raise ParseError(
-                    lineno, column,
-                    f"vars declares {len(names)} variables; at most {MAX_VARS} are allowed",
-                    first_over,
-                )
-            if keyword == "worlds":
+            elif keyword == "worlds" or keyword == "vars":
+                if universe is not None:
+                    raise _TokenError(1, "universe already declared")
+                names = t[1:]
+                if not names:
+                    raise _TokenError(n, f"{keyword} needs at least one name")
+                if keyword == "vars" and len(names) > MAX_VARS:
+                    raise _TokenError(
+                        1 + MAX_VARS,
+                        f"vars declares {len(names)} variables; at most {MAX_VARS} are allowed",
+                        t[1 + MAX_VARS],
+                    )
+                if keyword == "worlds":
+                    try:
+                        universe = WorldUniverse(tuple(names))
+                    except ValueError as e:
+                        raise _TokenError(n, str(e))
+                else:
+                    for name in names:
+                        if not _is_var_name(name):
+                            raise _TokenError(n, f"invalid variable name {name!r}", name)
+                    try:
+                        prop = generate_universe(tuple(names))
+                    except ValueError as e:
+                        raise _TokenError(n, str(e))
+                    universe = prop.universe
+
+            elif keyword == "world":
+                if prop is None:
+                    raise _TokenError(1, "'world' aliases need a 'vars' declaration first")
+                if drafts:
+                    raise _TokenError(1, "'world' aliases must precede sources")
+                alias = _take(t, 1, "an alias name")
+                _expect(t, 2, "=")
+                values = _lits_to_bits(t, prop.variables)
+                canonical = canonical_world_name(prop.variables, values)
+                if canonical not in prop.universe.worlds:
+                    raise _TokenError(n, "alias target already renamed")
                 try:
-                    universe = WorldUniverse(tuple(names))
+                    prop = prop.rename_world(canonical, alias)
                 except ValueError as e:
-                    raise lp.error(str(e))
-            else:
-                for n in names:
-                    if not _is_var_name(n):
-                        raise lp.error(f"invalid variable name {n!r}", n)
-                try:
-                    prop = generate_universe(tuple(names))
-                except ValueError as e:
-                    raise lp.error(str(e))
+                    raise _TokenError(n, str(e), alias)
                 universe = prop.universe
-            continue
 
-        if keyword == "world":
-            if prop is None:
-                raise lp.error("'world' aliases need a 'vars' declaration first")
-            if sources_started:
-                raise lp.error("'world' aliases must precede sources")
-            alias = lp.next("an alias name")
-            lp.expect("=")
-            lits = []
-            while lp.peek() is not None:
-                lits.append(lp.next("a literal"))
-            values = _lits_to_bits(lits, prop.variables, lp)
-            canonical = canonical_world_name(prop.variables, values)
-            if canonical not in prop.universe.worlds:
-                raise lp.error("alias target already renamed")
-            try:
-                prop = prop.rename_world(canonical, alias)
-            except ValueError as e:
-                raise lp.error(str(e), alias)
-            universe = prop.universe
-            continue
+            elif keyword == "source":
+                if universe is None:
+                    raise _TokenError(1, "declare 'worlds' or 'vars' before sources")
+                sid = _take(t, 1, "a source id")
+                _expect(t, 2, "rank")
+                rank = _take(t, 3, "a rank")
+                if rank.startswith("-"):
+                    raise _TokenError(3, "negative rank", rank)
+                # isdecimal, not isdigit: int() rejects digits such as "²"
+                if not rank.isdecimal():
+                    raise _TokenError(3, f"rank must be a non-negative integer, found {rank!r}", rank)
+                _done(t, 4)
+                if sid in drafts:
+                    raise _TokenError(4, f"duplicate source id {sid!r}", sid)
+                draft = drafts[sid] = _SourceDraft(sid, int(rank), [0] * len(universe))
 
-        if keyword == "source":
-            if universe is None:
-                raise lp.error("declare 'worlds' or 'vars' before sources")
-            sources_started = True
-            sid = lp.next("a source id")
-            lp.expect("rank")
-            rank_tok = lp.next("a rank")
-            if rank_tok.startswith("-"):
-                raise lp.error_at_last("negative rank", rank_tok)
-            if not rank_tok.isdigit():
-                raise lp.error_at_last(f"rank must be a non-negative integer, found {rank_tok!r}", rank_tok)
-            lp.done()
-            if any(d.id == sid for d in drafts):
-                raise lp.error(f"duplicate source id {sid!r}", sid)
-            drafts.append(_SourceDraft(sid, int(rank_tok), []))
-            continue
+            elif keyword == "agent":
+                if universe is None:
+                    raise _TokenError(1, "declare 'worlds' or 'vars' before agents")
+                aid = _take(t, 1, "an agent id")
+                _expect(t, 2, "=")
+                ids = t[3:]
+                if aid in agent_ids:
+                    raise _TokenError(n, f"duplicate agent id {aid!r}", aid)
+                if len(set(ids)) != len(ids):
+                    raise _TokenError(n, f"agent {aid!r} lists a source twice")
+                for sid in ids:
+                    if sid not in drafts:
+                        raise _TokenError(n, f"agent {aid!r} references unknown source {sid!r}", sid)
+                agent_ids[aid] = ids
 
-        if keyword == "pairs":
-            if not indented or not drafts:
-                raise lp.error("'pairs' must be indented under a source")
-            draft = drafts[-1]
-            if draft.layers is not None:
-                raise lp.error("source already has a 'layers' line")
-            while True:
-                x = _expect_world(lp, universe)
-                lp.expect("<")
-                y = _expect_world(lp, universe)
-                draft.pairs.append((x, y))
-                if lp.peek() == ",":
-                    lp.expect(",")
-                    continue
-                lp.done()
-                break
-            continue
-
-        if keyword == "layers":
-            if not indented or not drafts:
-                raise lp.error("'layers' must be indented under a source")
-            draft = drafts[-1]
-            if draft.layers is not None:
-                raise lp.error("source already has a 'layers' line")
-            if draft.pairs:
-                raise lp.error("source mixes 'pairs' and 'layers'")
-            draft.layers = _parse_layers(lp, universe)
-            continue
-
-        if keyword == "agent":
-            if universe is None:
-                raise lp.error("declare 'worlds' or 'vars' before agents")
-            aid = lp.next("an agent id")
-            lp.expect("=")
-            ids = []
-            while lp.peek() is not None:
-                ids.append(lp.next("a source id"))
-            if any(a[0] == aid for a in agent_rows):
-                raise lp.error(f"duplicate agent id {aid!r}", aid)
-            if len(set(ids)) != len(ids):
-                raise lp.error(f"agent {aid!r} lists a source twice")
-            for sid in ids:
-                if not any(d.id == sid for d in drafts):
-                    raise lp.error(f"agent {aid!r} references unknown source {sid!r}", sid)
-            agent_rows.append((aid, ids))
-            continue
-
-        raise lp.error(f"unknown declaration {keyword!r}", keyword)
+            else:
+                raise _TokenError(1, f"unknown declaration {keyword!r}", keyword)
+        except _TokenError as e:
+            raise e.at_line(lineno, raw) from None
 
     if universe is None:
         raise ParseError(1, 1, "scenario declares no universe")
 
-    sources = tuple(finish(d) for d in drafts)
-    profile = Profile(universe, sources)
-    by_id = {s.id: s for s in sources}
+    by_id = {sid: finish(d) for sid, d in drafts.items()}
+    profile = Profile(universe, tuple(by_id.values()))
     agents = tuple(
         Agent(aid, Profile(universe, tuple(by_id[s] for s in ids)))
-        for aid, ids in agent_rows
+        for aid, ids in agent_ids.items()
     )
     return Scenario(universe, prop, profile, agents)
 
@@ -289,61 +298,98 @@ def _is_var_name(name: str) -> bool:
     return re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) is not None
 
 
-def _expect_world(lp: _LineParser, universe: WorldUniverse) -> str:
-    name = lp.next("a world name")
-    if name not in universe:
-        raise lp.error_at_last(f"unknown world {name!r}", name)
-    return name
-
-
-def _lits_to_bits(lits: list[str], variables: tuple[str, ...], lp: _LineParser) -> tuple[bool, ...]:
+def _lits_to_bits(t: list[str], variables: tuple[str, ...]) -> tuple[bool, ...]:
+    """The valuation named by the literals ``t[3:]`` of a ``world`` line."""
     assigned: dict[str, bool] = {}
-    for lit in lits:
+    for lit in t[3:]:
         value = not lit.startswith("!")
         var = lit[1:] if lit.startswith("!") else lit
         if var not in variables:
-            raise lp.error(f"unknown variable {var!r} in world alias", lit)
+            raise _TokenError(len(t), f"unknown variable {var!r} in world alias", lit)
         if var in assigned:
-            raise lp.error(f"variable {var!r} assigned twice in world alias", lit)
+            raise _TokenError(len(t), f"variable {var!r} assigned twice in world alias", lit)
         assigned[var] = value
     missing = [v for v in variables if v not in assigned]
     if missing:
-        raise lp.error(f"world alias must cover all variables; missing {', '.join(missing)}")
+        raise _TokenError(len(t), f"world alias must cover all variables; missing {', '.join(missing)}")
     return tuple(assigned[v] for v in variables)
 
 
-def _parse_layers(lp: _LineParser, universe: WorldUniverse) -> LayeredForm:
-    blocks = []
+def _read_pairs(t: list[str], u: WorldUniverse, rows: list[int]) -> None:
+    """``pairs x < y, ...``: OR each pair's bit into ``rows``."""
+    index = u._index
+    n = len(t)
+    i = 1
     while True:
-        lp.expect("[")
-        worlds = []
-        while lp.peek() != "]":
-            worlds.append(_expect_world(lp, universe))
-            if lp.peek() is None:
-                raise lp.error("unterminated block, expected ']'")
-        lp.expect("]")
-        connected = False
-        if lp.peek() == "*":
-            lp.expect("*")
-            connected = True
-        if not worlds:
-            raise lp.error("empty layer block")
-        blocks.append(Block(frozenset(worlds), connected))
-        if lp.peek() == ">":
-            lp.expect(">")
+        x = index.get(t[i]) if i < n else None
+        y = index.get(t[i + 2]) if i + 2 < n else None
+        if x is None or y is None or t[i + 1] != "<":
+            # Find the first fault of the pair, token by token.
+            _world(t, i, index)
+            _expect(t, i + 1, "<")
+            _world(t, i + 2, index)
+        rows[x] |= 1 << y
+        i += 3
+        if i < n and t[i] == ",":
+            i += 1
             continue
-        lp.done()
+        _done(t, i)
+        return
+
+
+def _read_layers(t: list[str], u: WorldUniverse) -> list[int]:
+    """``layers [a c] > [b]*``: the row masks of the layered state.
+
+    Every world of a block is below every world of the later blocks, and
+    of its own block too when that block is connected (``*``). The blocks
+    must partition the universe.
+    """
+    index = u._index
+    n = len(t)
+    blocks: list[tuple[int, bool]] = []
+    seen = overlap = 0
+    i = 1
+    while True:
+        _expect(t, i, "[")
+        i += 1
+        m = 0
+        while i < n and t[i] != "]":
+            w = index.get(t[i])
+            if w is None:
+                raise _TokenError(i, f"unknown world {t[i]!r}", t[i])
+            m |= 1 << w
+            i += 1
+        if i == n:
+            if not m:
+                raise _TokenError(i, "expected a world name, found end of line")
+            raise _TokenError(i, "unterminated block, expected ']'")
+        i += 1
+        connected = i < n and t[i] == "*"
+        i += connected
+        if not m:
+            raise _TokenError(i, "empty layer block")
+        blocks.append((m, connected))
+        # the first block that repeats a world of an earlier one
+        overlap = overlap or seen & m
+        seen |= m
+        if i < n and t[i] == ">":
+            i += 1
+            continue
+        _done(t, i)
         break
-    seen: set[str] = set()
-    for b in blocks:
-        dup = seen & b.worlds
-        if dup:
-            raise lp.error(f"world(s) in more than one layer: {', '.join(sorted(dup))}")
-        seen |= b.worlds
-    missing = [w for w in universe.worlds if w not in seen]
+    if overlap:
+        raise _TokenError(n, f"world(s) in more than one layer: {', '.join(sorted(u.names(overlap)))}")
+    missing = (1 << len(u)) - 1 & ~seen
     if missing:
-        raise lp.error(f"layers must cover every world; missing {', '.join(missing)}")
-    return LayeredForm(universe, tuple(blocks))
+        raise _TokenError(n, f"layers must cover every world; missing {', '.join(u.names(missing))}")
+    rows = [0] * len(u)
+    below = 0
+    for m, connected in reversed(blocks):
+        row = below | m if connected else below
+        for x in bits(m):
+            rows[x] = row
+        below |= m
+    return rows
 
 
 def format_layers(layered: LayeredForm) -> str:
@@ -388,37 +434,42 @@ def serialize_pedigree(pbs: PedigreedBeliefState) -> str:
 
 
 def parse_pedigree(text: str, universe: WorldUniverse) -> PedigreedBeliefState:
-    entries = []
-    seen: set[tuple[str, str]] = set()
+    index = universe._index
+    seen = [0] * len(universe)
+    by_rank: dict[int, list[int]] = {}
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw)
-        if not tokens:
+        t = _line_tokens(raw)
+        if not t:
             continue
-        lp = _LineParser(lineno, tokens, raw)
-        if not header_seen:
-            lp.expect("pedigree")
-            lp.done()
-            header_seen = True
-            continue
-        x = _expect_world(lp, universe)
-        lp.expect("<")
-        y = _expect_world(lp, universe)
-        at = lp.next("'@'")
-        if at != "@":
-            lp.pos -= 1
-            raise lp.error(f"expected '@', found {at!r}", at)
-        rank_tok = lp.next("a rank")
-        if not rank_tok.isdigit():
-            raise lp.error(f"rank must be a non-negative integer, found {rank_tok!r}", rank_tok)
-        lp.done()
-        if (x, y) in seen:
-            raise lp.error(f"duplicate pair {x} < {y}")
-        seen.add((x, y))
-        entries.append((x, y, int(rank_tok)))
+        try:
+            if not header_seen:
+                _expect(t, 0, "pedigree")
+                _done(t, 1)
+                header_seen = True
+                continue
+            x = _world(t, 0, index)
+            _expect(t, 1, "<")
+            y = _world(t, 2, index)
+            _expect(t, 3, "@")
+            rank = _take(t, 4, "a rank")
+            if not rank.isdecimal():
+                raise _TokenError(5, f"rank must be a non-negative integer, found {rank!r}", rank)
+            _done(t, 5)
+            bit = 1 << y
+            if seen[x] & bit:
+                raise _TokenError(5, f"duplicate pair {t[0]} < {t[2]}")
+            seen[x] |= bit
+            by_rank.setdefault(int(rank), [0] * len(universe))[x] |= bit
+        except _TokenError as e:
+            raise e.at_line(lineno, raw) from None
     if not header_seen:
         raise ParseError(1, 1, "missing 'pedigree' header")
-    return PedigreedBeliefState(universe, tuple(entries))
+    # The parse checked that no pair is labelled twice.
+    return PedigreedBeliefState.from_levels(
+        universe,
+        ((r, Relation(universe, tuple(by_rank[r]))) for r in sorted(by_rank, reverse=True)),
+    )
 
 
 def export_dot(obj: LayeredForm | PedigreedBeliefState) -> str:

@@ -10,15 +10,20 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from dataclasses import dataclass
 
 from belieffusion import (
     Agent,
+    BeliefState,
     Block,
     FormulaSyntaxError,
     LayeredForm,
+    ParseError,
+    PedigreedBeliefState,
     Profile,
     PropUniverse,
     Relation,
+    Scenario,
     SimConfig,
     SimReport,
     Source,
@@ -33,7 +38,18 @@ from belieffusion import (
     relation,
     to_layers,
 )
-from belieffusion.formulas import And, Const, Formula, Iff, Implies, Not, Or, Var
+from belieffusion.formulas import (
+    And,
+    Const,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Var,
+    canonical_world_name,
+)
+from belieffusion.scenario import MAX_VARS
 
 LETTERS = "abcdefgh"
 
@@ -385,6 +401,310 @@ def scenario_tokens_oracle(text: str) -> list[tuple[str, int]]:
         i = j
     return tokens
 
+
+# The scenario and pedigree parsers as they were before they read plain
+# token strings: a cursor object over (token, column) pairs, one method
+# call per token, frozenset blocks checked as a LayeredForm and rebuilt by
+# from_layers. The differential tests hold the parsers to this one on
+# every input: the same value, or the same error. Ranks are read with
+# isdecimal(), the digits int() accepts.
+
+
+class _OracleCursor:
+    """Cursor over one tokenized line."""
+
+    def __init__(self, lineno: int, tokens: list[tuple[str, int]], raw: str):
+        self.lineno = lineno
+        self.tokens = tokens
+        self.raw = raw
+        self.pos = 0
+
+    def error(self, message: str, token: str = "") -> ParseError:
+        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.raw) + 1
+        return ParseError(self.lineno, col, message, token)
+
+    def error_at_last(self, message: str, token: str = "") -> ParseError:
+        """Like error(), but pointing at the most recently consumed token."""
+        self.pos = max(0, self.pos - 1)
+        return self.error(message, token)
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def next(self, what: str) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise self.error(f"expected {what}, found end of line")
+        self.pos += 1
+        return tok
+
+    def expect(self, literal: str) -> None:
+        tok = self.next(repr(literal))
+        if tok != literal:
+            self.pos -= 1
+            raise self.error(f"expected {literal!r}, found {tok!r}", tok)
+
+    def done(self) -> None:
+        if self.peek() is not None:
+            raise self.error(f"unexpected trailing token {self.peek()!r}", self.peek())
+
+
+
+@dataclass
+class _OracleDraft:
+    id: str
+    rank: int
+    pairs: list[tuple[str, str]]
+    layers: LayeredForm | None = None
+
+
+def parse_scenario_oracle(text: str) -> Scenario:
+    universe: WorldUniverse | None = None
+    prop: PropUniverse | None = None
+    drafts: list[_OracleDraft] = []
+    agent_rows: list[tuple[str, list[str]]] = []
+    sources_started = False
+
+    def finish(draft: _OracleDraft) -> Source:
+        if draft.layers is not None:
+            state = from_layers(draft.layers)
+        else:
+            r = relation(universe, draft.pairs)
+            state = BeliefState.from_relation(r, subject=draft.id)
+        return Source(draft.id, draft.rank, state)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = scenario_tokens_oracle(raw)
+        if not tokens:
+            continue
+        lp = _OracleCursor(lineno, tokens, raw)
+        indented = tokens[0][1] > 1
+        keyword = lp.next("a declaration keyword")
+
+        if keyword in ("worlds", "vars"):
+            if universe is not None:
+                raise lp.error("universe already declared")
+            names = []
+            while lp.peek() is not None:
+                names.append(lp.next("a name"))
+            if not names:
+                raise lp.error(f"{keyword} needs at least one name")
+            if keyword == "vars" and len(names) > MAX_VARS:
+                first_over, column = tokens[1 + MAX_VARS]
+                raise ParseError(
+                    lineno, column,
+                    f"vars declares {len(names)} variables; at most {MAX_VARS} are allowed",
+                    first_over,
+                )
+            if keyword == "worlds":
+                try:
+                    universe = WorldUniverse(tuple(names))
+                except ValueError as e:
+                    raise lp.error(str(e))
+            else:
+                for n in names:
+                    if not _oracle_var_name(n):
+                        raise lp.error(f"invalid variable name {n!r}", n)
+                try:
+                    prop = generate_universe(tuple(names))
+                except ValueError as e:
+                    raise lp.error(str(e))
+                universe = prop.universe
+            continue
+
+        if keyword == "world":
+            if prop is None:
+                raise lp.error("'world' aliases need a 'vars' declaration first")
+            if sources_started:
+                raise lp.error("'world' aliases must precede sources")
+            alias = lp.next("an alias name")
+            lp.expect("=")
+            lits = []
+            while lp.peek() is not None:
+                lits.append(lp.next("a literal"))
+            values = _oracle_lits(lits, prop.variables, lp)
+            canonical = canonical_world_name(prop.variables, values)
+            if canonical not in prop.universe.worlds:
+                raise lp.error("alias target already renamed")
+            try:
+                prop = prop.rename_world(canonical, alias)
+            except ValueError as e:
+                raise lp.error(str(e), alias)
+            universe = prop.universe
+            continue
+
+        if keyword == "source":
+            if universe is None:
+                raise lp.error("declare 'worlds' or 'vars' before sources")
+            sources_started = True
+            sid = lp.next("a source id")
+            lp.expect("rank")
+            rank_tok = lp.next("a rank")
+            if rank_tok.startswith("-"):
+                raise lp.error_at_last("negative rank", rank_tok)
+            if not rank_tok.isdecimal():
+                raise lp.error_at_last(f"rank must be a non-negative integer, found {rank_tok!r}", rank_tok)
+            lp.done()
+            if any(d.id == sid for d in drafts):
+                raise lp.error(f"duplicate source id {sid!r}", sid)
+            drafts.append(_OracleDraft(sid, int(rank_tok), []))
+            continue
+
+        if keyword == "pairs":
+            if not indented or not drafts:
+                raise lp.error("'pairs' must be indented under a source")
+            draft = drafts[-1]
+            if draft.layers is not None:
+                raise lp.error("source already has a 'layers' line")
+            while True:
+                x = _oracle_world(lp, universe)
+                lp.expect("<")
+                y = _oracle_world(lp, universe)
+                draft.pairs.append((x, y))
+                if lp.peek() == ",":
+                    lp.expect(",")
+                    continue
+                lp.done()
+                break
+            continue
+
+        if keyword == "layers":
+            if not indented or not drafts:
+                raise lp.error("'layers' must be indented under a source")
+            draft = drafts[-1]
+            if draft.layers is not None:
+                raise lp.error("source already has a 'layers' line")
+            if draft.pairs:
+                raise lp.error("source mixes 'pairs' and 'layers'")
+            draft.layers = _oracle_layers(lp, universe)
+            continue
+
+        if keyword == "agent":
+            if universe is None:
+                raise lp.error("declare 'worlds' or 'vars' before agents")
+            aid = lp.next("an agent id")
+            lp.expect("=")
+            ids = []
+            while lp.peek() is not None:
+                ids.append(lp.next("a source id"))
+            if any(a[0] == aid for a in agent_rows):
+                raise lp.error(f"duplicate agent id {aid!r}", aid)
+            if len(set(ids)) != len(ids):
+                raise lp.error(f"agent {aid!r} lists a source twice")
+            for sid in ids:
+                if not any(d.id == sid for d in drafts):
+                    raise lp.error(f"agent {aid!r} references unknown source {sid!r}", sid)
+            agent_rows.append((aid, ids))
+            continue
+
+        raise lp.error(f"unknown declaration {keyword!r}", keyword)
+
+    if universe is None:
+        raise ParseError(1, 1, "scenario declares no universe")
+
+    sources = tuple(finish(d) for d in drafts)
+    profile = Profile(universe, sources)
+    by_id = {s.id: s for s in sources}
+    agents = tuple(
+        Agent(aid, Profile(universe, tuple(by_id[s] for s in ids)))
+        for aid, ids in agent_rows
+    )
+    return Scenario(universe, prop, profile, agents)
+
+
+def _oracle_var_name(name: str) -> bool:
+    return re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) is not None
+
+
+def _oracle_world(lp: _OracleCursor, universe: WorldUniverse) -> str:
+    name = lp.next("a world name")
+    if name not in universe:
+        raise lp.error_at_last(f"unknown world {name!r}", name)
+    return name
+
+
+def _oracle_lits(lits: list[str], variables: tuple[str, ...], lp: _OracleCursor) -> tuple[bool, ...]:
+    assigned: dict[str, bool] = {}
+    for lit in lits:
+        value = not lit.startswith("!")
+        var = lit[1:] if lit.startswith("!") else lit
+        if var not in variables:
+            raise lp.error(f"unknown variable {var!r} in world alias", lit)
+        if var in assigned:
+            raise lp.error(f"variable {var!r} assigned twice in world alias", lit)
+        assigned[var] = value
+    missing = [v for v in variables if v not in assigned]
+    if missing:
+        raise lp.error(f"world alias must cover all variables; missing {', '.join(missing)}")
+    return tuple(assigned[v] for v in variables)
+
+
+def _oracle_layers(lp: _OracleCursor, universe: WorldUniverse) -> LayeredForm:
+    blocks = []
+    while True:
+        lp.expect("[")
+        worlds = []
+        while lp.peek() != "]":
+            worlds.append(_oracle_world(lp, universe))
+            if lp.peek() is None:
+                raise lp.error("unterminated block, expected ']'")
+        lp.expect("]")
+        connected = False
+        if lp.peek() == "*":
+            lp.expect("*")
+            connected = True
+        if not worlds:
+            raise lp.error("empty layer block")
+        blocks.append(Block(frozenset(worlds), connected))
+        if lp.peek() == ">":
+            lp.expect(">")
+            continue
+        lp.done()
+        break
+    seen: set[str] = set()
+    for b in blocks:
+        dup = seen & b.worlds
+        if dup:
+            raise lp.error(f"world(s) in more than one layer: {', '.join(sorted(dup))}")
+        seen |= b.worlds
+    missing = [w for w in universe.worlds if w not in seen]
+    if missing:
+        raise lp.error(f"layers must cover every world; missing {', '.join(missing)}")
+    return LayeredForm(universe, tuple(blocks))
+
+
+def parse_pedigree_oracle(text: str, universe: WorldUniverse) -> PedigreedBeliefState:
+    entries = []
+    seen: set[tuple[str, str]] = set()
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = scenario_tokens_oracle(raw)
+        if not tokens:
+            continue
+        lp = _OracleCursor(lineno, tokens, raw)
+        if not header_seen:
+            lp.expect("pedigree")
+            lp.done()
+            header_seen = True
+            continue
+        x = _oracle_world(lp, universe)
+        lp.expect("<")
+        y = _oracle_world(lp, universe)
+        at = lp.next("'@'")
+        if at != "@":
+            lp.pos -= 1
+            raise lp.error(f"expected '@', found {at!r}", at)
+        rank_tok = lp.next("a rank")
+        if not rank_tok.isdecimal():
+            raise lp.error(f"rank must be a non-negative integer, found {rank_tok!r}", rank_tok)
+        lp.done()
+        if (x, y) in seen:
+            raise lp.error(f"duplicate pair {x} < {y}")
+        seen.add((x, y))
+        entries.append((x, y, int(rank_tok)))
+    if not header_seen:
+        raise ParseError(1, 1, "missing 'pedigree' header")
+    return PedigreedBeliefState(universe, tuple(entries))
 
 def truth_oracle(f, env) -> bool:
     """A formula's truth value under one valuation, by structural recursion."""

@@ -328,6 +328,25 @@ def test_exit_code_2_on_scenario_parse_error(runner, scenario_file):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "data, line, column",
+    [
+        (b"worlds a b\n\xff\n", 2, 1),
+        # columns count characters, and "\r\n" ends one line, as in the parser
+        (b"worlds \xc3\xa9 b\r\nsource s rank 1\r\n  layers [\xc3\xa9] \x80 [b]\n", 3, 14),
+        (b"\xc3(", 1, 1),
+    ],
+)
+def test_non_utf8_scenario_is_a_positioned_parse_error(runner, tmp_path, data, line, column):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(data)
+    for command in (["validate"], ["aggregate", "--op", "agr"]):
+        result = runner.invoke(main, command + [str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"{path}: line {line}, column {column}: not valid UTF-8\n"
+
+
 def test_cli_at_256_worlds(runner, scenario_file):
     # Eight variables; the sources are layered by construction, so every
     # expected output follows from the blocks. s0 ranks A-worlds above the

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from functools import reduce
@@ -261,8 +262,8 @@ DEEP = 10**5
 
 @pytest.mark.parametrize("shape", ["!", "(", "&", "->", "<->", "!("])
 def test_deep_formulas_on_every_path(shape):
-    # Deep trees are compared by printed text and by mask: the dataclass
-    # __eq__ of the nodes is itself recursive.
+    # Deep trees are checked here by printed text and by mask; ==, hash
+    # and repr on deep trees are checked below.
     pu = generate_universe(["A", "B"])
     full = (1 << len(pu.universe)) - 1
     a = pu.masks["A"]
@@ -298,3 +299,58 @@ def test_deep_unclosed_parenthesis_is_a_positioned_error():
         parse_formula("(" * DEEP + "A")
     assert exc.value.offset == DEEP + 1
     assert exc.value.reason == "expected ')', found None"
+
+
+# a right spine of unary nodes, and a left spine of binary ones
+@pytest.mark.parametrize("opener, closer", [("!", ""), ("(", " -> A)")])
+def test_deep_formula_equality_hash_and_repr(opener, closer):
+    depth = 20_000
+
+    def build(leaf):
+        return parse_formula(opener * depth + leaf + closer * depth)
+
+    a, b, other = build("A"), build("A"), build("B")
+    assert a == b and hash(a) == hash(b)
+    assert a != other
+    assert len({a, b, other}) == 2
+    if opener == "!":
+        assert repr(a) == "Not(operand=" * depth + "Var(name='A')" + ")" * depth
+    else:
+        text = repr(a)
+        assert len(text) > 10 * depth and text.count("(") == text.count(")")
+
+
+def _dataclass_twins():
+    """Plain dataclasses with the nodes' names and fields: their generated
+    ==, hash and repr are the reference for shallow trees."""
+    twins = {}
+    for node in (Var, Const, Not, And, Or, Implies, Iff):
+        fields = list(node.__dataclass_fields__)
+        twins[node] = dataclasses.make_dataclass(node.__name__, fields, frozen=True)
+    return twins
+
+
+def test_equality_hash_and_repr_match_dataclasses_on_shallow_trees():
+    twins = _dataclass_twins()
+
+    def twin(f):
+        values = [twin(v) if type(v) in twins else v for v in f._values()]
+        return twins[type(f)](*values)
+
+    rng = random.Random(2024)
+    trees = [random_formula(rng, ["A", "B"], rng.randint(0, 3)) for _ in range(400)]
+    trees += [Const(1), Const(True), Not(Const(0)), Not(Const(False)), Var("A")]
+    equal_pairs = 0
+    for f in trees:
+        assert repr(f) == repr(twin(f))
+    for _ in range(20_000):
+        f, g = rng.choice(trees), rng.choice(trees)
+        assert (f == g) == (twin(f) == twin(g)), (f, g)
+        assert (f != g) == (twin(f) != twin(g)), (f, g)
+        if f == g:
+            equal_pairs += f is not g
+            assert hash(f) == hash(g)
+    assert equal_pairs > 100
+    # nodes of different kinds, and a node against a non-node, are unequal
+    assert Var("A") != Const(True) and Not(Var("A")) != And(Var("A"), Var("A"))
+    assert Var("A") != "A" and Var("A") != twin(Var("A"))

@@ -123,6 +123,29 @@ def test_parse_errors(text, fragment):
     assert exc.value.line >= 1 and exc.value.column >= 1
 
 
+@pytest.mark.parametrize("rank", ["²", "1²", "①", "⑴"])
+def test_digits_int_rejects_are_positioned_rank_errors(rank):
+    # str.isdigit() accepts these, int() does not
+    reason = f"rank must be a non-negative integer, found {rank!r}"
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(f"worlds a b\nsource s rank {rank}\n")
+    assert (exc.value.line, exc.value.column, exc.value.reason, exc.value.token) == (2, 15, reason, rank)
+    pedigree_line = f"a < b @ {rank}"
+    with pytest.raises(ParseError) as exc:
+        parse_pedigree(f"pedigree\n{pedigree_line}\n", universe("a", "b"))
+    # the pedigree parser points just past the rank
+    assert (exc.value.line, exc.value.column, exc.value.reason, exc.value.token) == (
+        2, len(pedigree_line) + 1, reason, rank
+    )
+
+
+def test_decimal_digits_of_any_script_are_ranks():
+    s = parse_scenario("worlds a b\nsource s rank ٣١\n")  # Arabic-Indic 31
+    assert s.profile.sources[0].rank == 31
+    pbs = parse_pedigree("pedigree\na < b @ १\n", universe("a", "b"))  # Devanagari 1
+    assert pbs.entries == (("a", "b", 1),)
+
+
 def test_parse_error_position_is_exact():
     with pytest.raises(ParseError) as exc:
         parse_scenario("worlds a b\nsource s rank 1\n  pairs a < zz\n")
@@ -317,7 +340,9 @@ def test_line_tokenizer_matches_the_character_walk():
     for _ in range(3000):
         lines.append("".join(rng.choice(alphabet) for _ in range(rng.randrange(25))))
     for line in lines:
-        assert scenario._tokenize_line(line) == scenario_tokens_oracle(line), repr(line)
+        expected = scenario_tokens_oracle(line)
+        assert scenario._tokenize_line(line) == expected, repr(line)
+        assert scenario._line_tokens(line) == [tok for tok, _ in expected], repr(line)
 
 
 def test_vars_cap_is_a_positioned_error_before_the_universe_is_built(monkeypatch):
