@@ -78,22 +78,30 @@ def _echo_lines(lines: list[str]) -> None:
         click.echo("\n".join(lines))
 
 
+def _find(lookup, key):
+    """``lookup(key)``; an unknown id is a usage error that prints the
+    message of the KeyError."""
+    try:
+        return lookup(key)
+    except KeyError as e:
+        _fail(2, str(e.args[0]))
+
+
 def _pick_sources(scenario: Scenario, spec: str) -> Profile:
     if spec == "all":
         return scenario.profile
-    try:
-        return scenario.profile.subset(spec.split(","))
-    except KeyError as e:
-        _fail(2, str(e.args[0]))
+    return _find(scenario.profile.subset, spec.split(","))
 
 
 def _pick_agents(scenario: Scenario, spec: str):
     if spec == "all":
         return list(scenario.agents)
-    try:
-        return [scenario.agent(a) for a in spec.split(",")]
-    except KeyError as e:
-        _fail(2, str(e.args[0]))
+    return [_find(scenario.agent, a) for a in spec.split(",")]
+
+
+def _flags(separator: str, table) -> str:
+    """The names of the (name, on) rows of ``table`` that are on, joined."""
+    return separator.join(name for name, on in table if on)
 
 
 @click.group()
@@ -108,18 +116,11 @@ def validate(scenario_path: str) -> None:
     scenario = _load(scenario_path)
     for src in scenario.profile.sources:
         flags = classify_class(src.state.relation)
-        tokens = []
-        if flags.in_b:
-            tokens.append("B")
-        if flags.in_t:
-            tokens.append("T")
-        if flags.in_t_strict:
-            tokens.append("T<")
-        if flags.in_q:
-            tokens.append("Q")
-        if flags.in_q_strict:
-            tokens.append("Q<")
-        click.echo(f"OK {src.id} {','.join(tokens)}")
+        table = (
+            ("B", flags.in_b), ("T", flags.in_t), ("T<", flags.in_t_strict),
+            ("Q", flags.in_q), ("Q<", flags.in_q_strict),
+        )
+        click.echo(f"OK {src.id} {_flags(',', table)}")
 
 
 _OPS = {"un": un, "agrun": agr_un, "agrrf": agr_rf, "agrstar": agr_star, "agr": agr}
@@ -179,10 +180,7 @@ def query(scenario_path: str, agent_id: str | None, sources_spec: str | None, if
     if (agent_id is None) == (sources_spec is None):
         _fail(2, "exactly one of --agent or --sources is required")
     if agent_id is not None:
-        try:
-            state = scenario.agent(agent_id).induced()
-        except KeyError as e:
-            _fail(2, str(e.args[0]))
+        state = _find(scenario.agent, agent_id).induced()
     else:
         state = agr(_pick_sources(scenario, sources_spec))
     try:
@@ -197,17 +195,8 @@ def query(scenario_path: str, agent_id: str | None, sources_spec: str | None, if
         sys.exit(1)
     except UndeclaredVariableError as e:
         _fail(2, f"formula: {e}")
-    flags = [
-        name
-        for name, on in (
-            ("BEL", status.bel),
-            ("DISBEL", status.disbel),
-            ("AGN", status.agn),
-            ("CON", status.con),
-        )
-        if on
-    ]
-    click.echo(" ".join(flags))
+    table = (("BEL", status.bel), ("DISBEL", status.disbel), ("AGN", status.agn), ("CON", status.con))
+    click.echo(_flags(" ", table))
     chosen = sorted(status.choice, key=scenario.universe.index)
     click.echo("choice: " + " ".join(chosen))
 
@@ -278,15 +267,9 @@ def export_dot_cmd(scenario_path: str, source_id: str | None, agent_id: str | No
     if len(selected) != 1:
         _fail(2, "exactly one of --source, --agent, or --fused is required")
     if source_id is not None:
-        try:
-            payload = export_dot(to_layers(scenario.source(source_id).state))
-        except KeyError as e:
-            _fail(2, str(e.args[0]))
+        payload = export_dot(to_layers(_find(scenario.source, source_id).state))
     elif agent_id is not None:
-        try:
-            payload = export_dot(scenario.agent(agent_id).pedigree())
-        except KeyError as e:
-            _fail(2, str(e.args[0]))
+        payload = export_dot(_find(scenario.agent, agent_id).pedigree())
     else:
         if not scenario.agents:
             _fail(2, "scenario declares no agents")

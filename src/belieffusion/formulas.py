@@ -12,10 +12,11 @@ connectives. Grammar, loosest first:
 Variables match [A-Za-z_][A-Za-z0-9_]* minus the keywords; whitespace is
 insignificant.
 
-Parsing is one operator-precedence loop over the tokens, and every walk
-over a tree (printing, evaluation, ``variables_of``, and the nodes' ``==``,
-``hash`` and ``repr``) uses an explicit stack, so a formula of any
-nesting depth or length is accepted.
+Parsing is one operator-precedence loop over the tokens, and no walk over
+a tree recurses, so a formula of any nesting depth or length is
+accepted. Evaluation, ``variables_of`` and the nodes' ``==`` and ``hash``
+are folds over one post-order walk; printing and ``repr`` each use an
+explicit stack.
 
 A formula is evaluated over a whole valuation universe at once, as a bit
 mask in universe order (a truth table as a bit vector): a variable is the
@@ -29,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -58,41 +60,31 @@ class UndeclaredVariableError(ValueError):
 
 
 class _Node:
-    """``==``, ``hash`` and ``repr`` of the formula nodes, each one loop
-    over an explicit stack: the dataclass-generated ones recurse, and fail
-    on deep trees. ``repr`` prints what the dataclass one would."""
+    """``==``, ``hash`` and ``repr`` of the formula nodes, none of which
+    recurses: the dataclass-generated ones do, and fail on deep trees.
+
+    ``==`` and ``hash`` read one key per tree: its nodes' classes in
+    post-order, each leaf's with its values. Every class has a fixed
+    arity, so the key determines the tree. ``repr`` is one loop over an
+    explicit stack and prints what the dataclass one would.
+    """
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
+    def _key(self) -> tuple:
+        return tuple(
+            (node.__class__, node._values() if type(node) in (Var, Const) else ())
+            for node in _postorder(self)
+        )
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if isinstance(a, _Node) and a.__class__ is b.__class__:
-                todo += zip(a._values(), b._values())
-            elif not a == b:
-                return False
-        return True
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        done: dict[int, int] = {}  # id of a node -> its hash
-        todo = [self]
-        while todo:
-            node = todo[-1]
-            values = node._values()
-            waiting = [v for v in values if isinstance(v, _Node) and id(v) not in done]
-            if waiting:
-                todo += waiting
-                continue
-            todo.pop()
-            key = tuple(done[id(v)] if isinstance(v, _Node) else v for v in values)
-            done[id(node)] = hash((node.__class__, key))
-        return done[id(self)]
+        return hash(self._key())
 
     def __repr__(self) -> str:
         pieces: list[str] = []
@@ -378,14 +370,11 @@ def generate_universe(variables: tuple[str, ...] | list[str]) -> PropUniverse:
         raise ValueError("variable names must be distinct")
     if not variables:
         raise ValueError("at least one variable is required")
-    k = len(variables)
-    rows: list[tuple[str, tuple[bool, ...]]] = []
-    for i in range(2**k):
-        bits = tuple((i >> (k - 1 - j)) & 1 == 0 for j in range(k))
-        rows.append((canonical_world_name(variables, bits), bits))
-    return PropUniverse(
-        variables, WorldUniverse(tuple(name for name, _ in rows)), tuple(rows)
-    )
+    # product() varies its last factor fastest, so the first variable is
+    # the most significant, and each factor lists true first.
+    names = tuple(map(".".join, product(*[(v, "!" + v) for v in variables])))
+    valuations = product((True, False), repeat=len(variables))
+    return PropUniverse(variables, WorldUniverse(names), tuple(zip(names, valuations)))
 
 
 def models_mask(pu: PropUniverse, f: Formula) -> int:

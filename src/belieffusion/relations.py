@@ -7,9 +7,10 @@ n x n boolean matrix kept as one Python int per world: bit y of
 declaration order. Column masks are the transpose, derived once per
 relation when an operation needs them. Every predicate and operation is
 row/column mask algebra, so a check costs O(n) to O(pairs) big-int
-operations rather than a sweep over pairs of pairs. World names appear
-only at the boundary: ``relation(u, pairs)``, ``.pairs``, ``.has`` and
-``sorted_pairs()``.
+operations rather than a sweep over pairs of pairs; the modularity and
+transitivity witnesses are one search that differs only in the mask its
+third world is drawn from. World names appear only at the boundary:
+``relation(u, pairs)``, ``.pairs``, ``.has`` and ``sorted_pairs()``.
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class WorldUniverse:
             return self._index[world]
         except KeyError:
             raise UnknownWorldError(f"unknown world {world!r}") from None
-
-    def pair_key(self, pair: Pair) -> tuple[int, int]:
-        """Sort key for pairs: universe declaration order, row-major."""
-        return (self.index(pair[0]), self.index(pair[1]))
 
     def mask(self, worlds: Iterable[str]) -> int:
         """The bit mask of a set of worlds."""
@@ -189,42 +186,33 @@ def classify_properties(r: Relation) -> PropertyFlags:
 
 
 def modularity_witness(r: Relation) -> tuple[str, str, str] | None:
-    """The first triple (x, y, z) with x r y but neither x r z nor z r y.
-
-    "First" is in ``pair_key`` order of (x, y), then universe order of z:
-    for each pair, the lowest bit of ``~row[x] & ~col[y]``. The answer
-    depends on x only through its row, so a row already found clean is
-    skipped.
-    """
-    rows, cols, full = r.rows, r.cols, _full(r)
-    ws = r.universe.worlds
-    clean: set[int] = set()
-    for x, row in enumerate(rows):
-        outside = full & ~row
-        if not outside or row in clean:
-            continue
-        for y in bits(row):
-            zs = outside & ~cols[y]
-            if zs:
-                return (ws[x], ws[y], ws[lowest(zs)])
-        clean.add(row)
-    return None
+    """The first triple (x, y, z) with x r y but neither x r z nor z r y:
+    z is a bit of ``~col[y] & ~row[x]``."""
+    return _first_witness(r, r.cols, _full(r))
 
 
 def transitivity_witness(r: Relation) -> tuple[str, str, str] | None:
-    """The first triple (x, y, z) with x r y and y r z but not x r z.
+    """The first triple (x, y, z) with x r y and y r z but not x r z:
+    z is a bit of ``row[y] & ~row[x]``."""
+    return _first_witness(r, r.rows, 0)
 
-    "First" is in ``pair_key`` order of (x, y), then universe order of z:
-    for each pair, the lowest bit of ``row[y] & ~row[x]``.
+
+def _first_witness(r: Relation, table: Sequence[int], flip: int) -> tuple[str, str, str] | None:
+    """The first (x, y, z) with x r y and z in ``(table[y] ^ flip) & ~row[x]``.
+
+    "First" is in row-major universe order of (x, y), then universe order
+    of z: for each pair, the lowest bit of that mask. The answer depends
+    on x only through its row, so a row already found clean is skipped,
+    and so is a full row, which leaves no z.
     """
-    rows = r.rows
+    rows, full = r.rows, _full(r)
     ws = r.universe.worlds
     clean: set[int] = set()
     for x, row in enumerate(rows):
-        if row in clean:
+        if row == full or row in clean:
             continue
         for y in bits(row):
-            zs = rows[y] & ~row
+            zs = (table[y] ^ flip) & ~row
             if zs:
                 return (ws[x], ws[y], ws[lowest(zs)])
         clean.add(row)

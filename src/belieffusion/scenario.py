@@ -19,11 +19,11 @@ states by construction. A rank is a run of decimal digits
 Each line is read as a list of plain token strings. A ``pairs`` line is
 one index loop that ORs each pair's bit into the source's row masks; a
 ``layers`` line is one loop that builds a mask per block, checks overlap
-and coverage once on those masks, and fills the rows from them. Nothing
-is validated twice. Errors are raised at a token index, and only then is
-the line tokenized again to find the column, so every ParseError still
-carries its line, column, reason and token. Serialized pedigrees use the
-canonical wire format
+and coverage once on those masks, and hands them to the row builder of
+``from_layers``. Nothing is validated twice. Errors are raised at a
+token index, and only then is the line tokenized again to find the
+column, so every ParseError still carries its line, column, reason and
+token. Serialized pedigrees use the canonical wire format
 
     pedigree
     a < b @ 2
@@ -42,7 +42,7 @@ from .bitset import bits
 from .formulas import PropUniverse, canonical_world_name, generate_universe
 from .pedigree import Agent, PedigreedBeliefState, induced_state
 from .relations import Relation, WorldUniverse
-from .states import BeliefState, LayeredForm, to_layers
+from .states import BeliefState, LayeredForm, _layer_rows, to_layers
 
 FORMAT_HEADER = "# format 1"
 
@@ -338,12 +338,8 @@ def _read_pairs(t: list[str], u: WorldUniverse, rows: list[int]) -> None:
 
 
 def _read_layers(t: list[str], u: WorldUniverse) -> list[int]:
-    """``layers [a c] > [b]*``: the row masks of the layered state.
-
-    Every world of a block is below every world of the later blocks, and
-    of its own block too when that block is connected (``*``). The blocks
-    must partition the universe.
-    """
+    """``layers [a c] > [b]*``: the row masks of the layered state, whose
+    blocks (``*`` marks a connected one) must partition the universe."""
     index = u._index
     n = len(t)
     blocks: list[tuple[int, bool]] = []
@@ -382,14 +378,7 @@ def _read_layers(t: list[str], u: WorldUniverse) -> list[int]:
     missing = (1 << len(u)) - 1 & ~seen
     if missing:
         raise _TokenError(n, f"layers must cover every world; missing {', '.join(u.names(missing))}")
-    rows = [0] * len(u)
-    below = 0
-    for m, connected in reversed(blocks):
-        row = below | m if connected else below
-        for x in bits(m):
-            rows[x] = row
-        below |= m
-    return rows
+    return _layer_rows(len(u), blocks)
 
 
 def format_layers(layered: LayeredForm) -> str:
@@ -454,7 +443,7 @@ def parse_pedigree(text: str, universe: WorldUniverse) -> PedigreedBeliefState:
             _expect(t, 3, "@")
             rank = _take(t, 4, "a rank")
             if not rank.isdecimal():
-                raise _TokenError(5, f"rank must be a non-negative integer, found {rank!r}", rank)
+                raise _TokenError(4, f"rank must be a non-negative integer, found {rank!r}", rank)
             _done(t, 5)
             bit = 1 << y
             if seen[x] & bit:

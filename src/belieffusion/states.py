@@ -12,6 +12,7 @@ fully connected (conflicted) or fully disconnected (agnostic).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .bitset import bits, lowest
 from .formulas import Formula, PropUniverse, models_mask
@@ -154,17 +155,26 @@ def from_layers(layered: LayeredForm) -> BeliefState:
     missing = set(u.worlds) - seen
     if missing:
         raise ValueError(f"world(s) missing from the partition: {sorted(missing)}")
-    # Every world of a block is below every world of the later blocks,
-    # and of its own block too when that block is connected.
-    rows = [0] * len(u)
+    blocks = [(u.mask(block.worlds), block.connected) for block in layered.blocks]
+    return BeliefState(Relation(u, tuple(_layer_rows(len(u), blocks))))
+
+
+def _layer_rows(n: int, blocks: Sequence[tuple[int, bool]]) -> list[int]:
+    """The row masks of a layered state over n worlds, from its blocks as
+    (mask, connected), most likely first.
+
+    Every world of a block is below every world of the later blocks, and
+    of its own block too when that block is connected. The blocks must
+    partition the worlds; callers check that, each with its own messages.
+    """
+    rows = [0] * n
     below = 0
-    for block in reversed(layered.blocks):
-        m = u.mask(block.worlds)
-        row = below | m if block.connected else below
-        for w in block.worlds:
-            rows[u.index(w)] = row
+    for m, connected in reversed(blocks):
+        row = below | m if connected else below
+        for x in bits(m):
+            rows[x] = row
         below |= m
-    return BeliefState(Relation(u, tuple(rows)))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ def transitive_oracle(r: Relation) -> bool:
 
 
 def first_modularity_witness(r: Relation):
-    """The first (x, y, z) in pair_key order, then world order, with
+    """The first (x, y, z) in row-major universe order, then world order, with
     x < y but neither x < z nor z < y; None if the relation is modular."""
     ws, pairs = r.universe.worlds, r.pairs
     for x in ws:
@@ -172,7 +172,7 @@ def first_modularity_witness(r: Relation):
 
 
 def first_transitivity_witness(r: Relation):
-    """The first (x, y, z) in pair_key order, then world order, with
+    """The first (x, y, z) in row-major universe order, then world order, with
     x < y and y < z but not x < z; None if the relation is transitive."""
     ws, pairs = r.universe.worlds, r.pairs
     for x in ws:
@@ -696,7 +696,7 @@ def parse_pedigree_oracle(text: str, universe: WorldUniverse) -> PedigreedBelief
             raise lp.error(f"expected '@', found {at!r}", at)
         rank_tok = lp.next("a rank")
         if not rank_tok.isdecimal():
-            raise lp.error(f"rank must be a non-negative integer, found {rank_tok!r}", rank_tok)
+            raise lp.error_at_last(f"rank must be a non-negative integer, found {rank_tok!r}", rank_tok)
         lp.done()
         if (x, y) in seen:
             raise lp.error(f"duplicate pair {x} < {y}")
@@ -705,6 +705,20 @@ def parse_pedigree_oracle(text: str, universe: WorldUniverse) -> PedigreedBelief
     if not header_seen:
         raise ParseError(1, 1, "missing 'pedigree' header")
     return PedigreedBeliefState(universe, tuple(entries))
+
+
+def generate_universe_oracle(variables) -> PropUniverse:
+    """All 2^k valuation worlds, built one world at a time: world i's
+    valuation is the bits of i, first variable most significant, with a
+    0 bit read as true."""
+    variables = tuple(variables)
+    k = len(variables)
+    rows = []
+    for i in range(2**k):
+        bits = tuple((i >> (k - 1 - j)) & 1 == 0 for j in range(k))
+        rows.append((canonical_world_name(variables, bits), bits))
+    return PropUniverse(variables, WorldUniverse(tuple(name for name, _ in rows)), tuple(rows))
+
 
 def truth_oracle(f, env) -> bool:
     """A formula's truth value under one valuation, by structural recursion."""

@@ -460,3 +460,118 @@ def test_cli_at_256_worlds(runner, scenario_file):
         fused[tuple(pair.split(" < "))] = int(rank)
     assert lines[0] == "pedigree" and fused == labels and len(fused) == cut - 1
     assert set(pair_lines(lines[cut + 1 :])) == agr_pairs
+
+
+NO_AGENTS = """\
+worlds a b
+source s rank 1
+  pairs a < b
+"""
+
+FOUR_AGENTS = """\
+worlds a b c
+source s0 rank 1
+  pairs b < a, b < c
+source s1 rank 1
+  pairs a < b, c < b
+source s2 rank 2
+  pairs a < b, c < b
+agent A = s0
+agent B = s1
+agent C = s2
+agent D =
+"""
+
+
+def outcome(result):
+    return (result.exit_code, result.stdout, result.stderr)
+
+
+def test_validate_prints_total_classes_of_connected_blocks(runner, scenario_file):
+    text = "worlds a b c\nsource s rank 1\n  layers [a b]* > [c]*\n"
+    result = runner.invoke(main, ["validate", scenario_file(text)])
+    assert outcome(result) == (0, "OK s B,T,Q\n", "")
+
+
+def test_aggregate_intransitive_union_prints_no_layers(runner, scenario_file):
+    result = runner.invoke(main, ["aggregate", scenario_file(EXAMPLE4), "--op", "un"])
+    assert outcome(result) == (0, "a < b\nb < a\nb < c\nc < b\n", "")
+
+
+@pytest.mark.parametrize(
+    "args, stderr",
+    [
+        (["fuse"], "no agents selected\n"),
+        (["simulate"], "scenario declares no agents\n"),
+        (["export-dot", "--fused"], "scenario declares no agents\n"),
+    ],
+)
+def test_commands_without_agents(runner, scenario_file, args, stderr):
+    result = runner.invoke(main, [args[0], scenario_file(NO_AGENTS), *args[1:]])
+    assert outcome(result) == (2, "", stderr)
+
+
+@pytest.mark.parametrize(
+    "selector, stderr",
+    [
+        (["--agent", "A", "--sources", "all"], "exactly one of --agent or --sources is required\n"),
+        ([], "exactly one of --agent or --sources is required\n"),
+        (["--agent", "zz"], "unknown agent id 'zz'\n"),
+        (["--sources", "st,zz"], "unknown source id(s): zz\n"),
+    ],
+)
+def test_query_selector_errors(runner, scenario_file, selector, stderr):
+    result = runner.invoke(
+        main, ["query", scenario_file(ROBOT), *selector, "--if", "true", "--then", "D"]
+    )
+    assert outcome(result) == (2, "", stderr)
+
+
+def test_query_undeclared_variable(runner, scenario_file):
+    result = runner.invoke(
+        main, ["query", scenario_file(ROBOT), "--agent", "A", "--if", "Z", "--then", "D | Y"]
+    )
+    assert outcome(result) == (2, "", "formula: undeclared variable(s): Z\n")
+
+
+@pytest.mark.parametrize(
+    "topology, rounds, head",
+    [
+        ("ring", "10", "rounds: 2\nmessages: 16\nconverged: true\n"),
+        ("star:C", "1", "rounds: 1\nmessages: 6\nconverged: false\n"),
+    ],
+)
+def test_simulate_ring_and_star(runner, scenario_file, topology, rounds, head):
+    result = runner.invoke(
+        main,
+        ["simulate", scenario_file(FOUR_AGENTS), "--topology", topology, "--rounds", rounds],
+    )
+    agents = "".join(f"agent {a}: a < b, c < b\n" for a in "ABCD")
+    assert outcome(result) == (0, head + agents + "MATCHES_GLOBAL: true\n", "")
+
+
+def test_export_dot_agent(runner, scenario_file):
+    result = runner.invoke(main, ["export-dot", scenario_file(EXAMPLE4), "--agent", "A1p"])
+    assert outcome(result) == (
+        0,
+        "digraph belief_state {\n"
+        '  n0 [label="a,c"];\n'
+        '  n1 [label="b"];\n'
+        '  n0 -> n1 [label="2"];\n'
+        "}\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize(
+    "args, stderr",
+    [
+        (["export-dot", "--agent", "zz"], "unknown agent id 'zz'\n"),
+        (["export-dot", "--source", "zz"], "unknown source id 'zz'\n"),
+        (["aggregate", "--sources", "s0,zz"], "unknown source id(s): zz\n"),
+        (["fuse", "--agents", "A1p,zz"], "unknown agent id 'zz'\n"),
+    ],
+)
+def test_unknown_ids_are_usage_errors(runner, scenario_file, args, stderr):
+    result = runner.invoke(main, [args[0], scenario_file(EXAMPLE4), *args[1:]])
+    assert outcome(result) == (2, "", stderr)

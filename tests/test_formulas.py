@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from belieffusion import (
     FormulaSyntaxError,
     UndeclaredVariableError,
+    UnknownWorldError,
     format_formula,
     generate_universe,
     models,
@@ -30,6 +31,7 @@ from belieffusion.formulas import (
 from helpers import (
     aliased_prop_universe,
     formula_tokens_oracle,
+    generate_universe_oracle,
     models_oracle,
     parse_formula_oracle,
     random_formula,
@@ -86,6 +88,26 @@ def test_generate_universe_order():
         generate_universe([])
     with pytest.raises(ValueError):
         generate_universe(["X", "X"])
+
+
+def test_generate_universe_matches_the_per_world_construction():
+    names = ["F", "D", "x_1", "Q", "B", "A", "z", "C"]
+    for k in range(1, len(names) + 1):
+        assert generate_universe(names[:k]) == generate_universe_oracle(names[:k])
+
+
+def test_valuation_and_rename_world_errors():
+    pu = generate_universe(["F", "D"])
+    assert pu.valuation("F.!D") == {"F": True, "D": False}
+    with pytest.raises(UnknownWorldError, match="^unknown world 'zz'$"):
+        pu.valuation("zz")
+    renamed = pu.rename_world("F.D", "ok")
+    assert renamed.universe.worlds == ("ok", "F.!D", "!F.D", "!F.!D")
+    assert renamed.valuation("ok") == {"F": True, "D": True}
+    with pytest.raises(ValueError, match="^world name 'F.!D' already in use$"):
+        pu.rename_world("F.D", "F.!D")
+    with pytest.raises(UnknownWorldError, match="^unknown world 'zz'$"):
+        pu.rename_world("zz", "new")
 
 
 def test_models_examples():

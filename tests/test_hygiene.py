@@ -1,4 +1,5 @@
-"""Static checks on the package source: nothing it imports goes unused."""
+"""Static checks on the package source: nothing it imports goes unused,
+and no private module-level name is left that nothing reads."""
 
 import ast
 import pathlib
@@ -28,7 +29,7 @@ def used_names(tree: ast.AST) -> set[str]:
     used = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
             annotations.append(node.annotation)
@@ -47,3 +48,32 @@ def test_every_import_is_used(path):
     used = used_names(tree)
     unused = sorted(f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name (``_x``, not ``__x__``) a module defines at its
+    top level, as a function, class or constant, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.endswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    tree = ast.parse(path.read_text())
+    used = used_names(tree)
+    for sibling in PACKAGE.glob("*.py"):
+        if sibling != path:
+            used |= set(imported_names(ast.parse(sibling.read_text())))
+    unread = sorted(f"{name} (line {line})" for name, line in private_definitions(tree).items() if name not in used)
+    assert not unread, f"{path.name} defines private names nothing reads: {', '.join(unread)}"

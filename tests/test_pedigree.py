@@ -139,6 +139,19 @@ def test_fuse_matches_union_aggregation_example():
     assert fused == global_reference([a1p, a2p])
 
 
+def test_pedigree_constructor_checks_labels_and_reprs_its_entries():
+    pbs = PedigreedBeliefState(U2, [("b", "b", 0), ("a", "b", 1)])
+    assert pbs.entries == (("a", "b", 1), ("b", "b", 0))
+    assert repr(pbs) == (
+        "PedigreedBeliefState(universe=WorldUniverse(worlds=('a', 'b')), "
+        "entries=(('a', 'b', 1), ('b', 'b', 0)))"
+    )
+    with pytest.raises(ValueError, match="^rank labels must be non-negative$"):
+        PedigreedBeliefState(U2, [("a", "b", 1), ("b", "a", -1)])
+    with pytest.raises(ValueError, match="^duplicate labeled pair$"):
+        PedigreedBeliefState(U2, [("a", "b", 1), ("a", "b", 2)])
+
+
 def test_fuse_empty_and_mismatched():
     assert fuse([], U3) == empty_pedigree(U3)
     with pytest.raises(ValueError):

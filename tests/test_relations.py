@@ -42,6 +42,12 @@ def test_relation_rejects_foreign_worlds():
         relation(U2, [("a", "c")])
 
 
+def test_has_is_false_for_unknown_worlds():
+    r = relation(U2, [("a", "b")])
+    assert r.has("a", "b") and ("a", "b") in r
+    assert not r.has("a", "zz") and not r.has("zz", "b") and ("zz", "zz") not in r
+
+
 def test_relation_constructor_checks_row_masks():
     u = small_universe(3)
     r = Relation(u, [0b011, 0, 0b100])
