@@ -263,8 +263,7 @@ def simulate(scenario_path: str, topology_spec: str, seed: int, rounds: int, dup
 def export_dot_cmd(scenario_path: str, source_id: str | None, agent_id: str | None, fused: bool, out_path: str | None) -> None:
     """Export a Figure-style DOT diagram of a belief state."""
     scenario = _load(scenario_path)
-    selected = [x for x in (source_id, agent_id, True if fused else None) if x]
-    if len(selected) != 1:
+    if (source_id is not None) + (agent_id is not None) + fused != 1:
         _fail(2, "exactly one of --source, --agent, or --fused is required")
     if source_id is not None:
         payload = export_dot(to_layers(_find(scenario.source, source_id).state))

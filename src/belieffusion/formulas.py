@@ -28,13 +28,13 @@ formula tree, with no recursion, whatever the number of worlds.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .relations import UnknownWorldError, WorldUniverse
+from .relations import WorldUniverse
 
 KEYWORDS = frozenset({"true", "false"})
 _OPERATORS = frozenset({"<->", "->", "!", "&", "|", "(", ")"})
@@ -324,10 +324,6 @@ class PropUniverse:
     variables: tuple[str, ...]
     universe: WorldUniverse
     valuations: tuple[tuple[str, tuple[bool, ...]], ...]
-    _by_name: dict[str, tuple[bool, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_name", dict(self.valuations))
 
     @cached_property
     def masks(self) -> Mapping[str, int]:
@@ -341,17 +337,14 @@ class PropUniverse:
         return MappingProxyType(masks)
 
     def valuation(self, world: str) -> dict[str, bool]:
-        try:
-            return dict(zip(self.variables, self._by_name[world]))
-        except KeyError:
-            raise UnknownWorldError(f"unknown world {world!r}") from None
+        bit = 1 << self.universe.index(world)
+        return {v: bool(m & bit) for v, m in self.masks.items()}
 
     def rename_world(self, old: str, new: str) -> "PropUniverse":
-        if new in self.universe.worlds and new != old:
+        if new != old and new in self.universe:
             raise ValueError(f"world name {new!r} already in use")
+        self.universe.index(old)  # raises for an unknown world
         worlds = tuple(new if w == old else w for w in self.universe.worlds)
-        if worlds == self.universe.worlds:
-            raise UnknownWorldError(f"unknown world {old!r}")
         vals = tuple((new if n == old else n, bits) for n, bits in self.valuations)
         return PropUniverse(self.variables, WorldUniverse(worlds), vals)
 

@@ -30,6 +30,11 @@ from .states import BeliefState
 Entry = tuple[str, str, int]
 
 
+def _levels(universe: WorldUniverse, by_rank: dict[int, list[int]]) -> tuple[Level, ...]:
+    """One relation per rank, from its row masks, highest rank first."""
+    return tuple((r, Relation(universe, tuple(by_rank[r]))) for r in sorted(by_rank, reverse=True))
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class PedigreedBeliefState:
     """A refined relation whose every pair carries a rank label.
@@ -59,11 +64,7 @@ class PedigreedBeliefState:
         if duplicate:
             raise ValueError("duplicate labeled pair")
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(
-            self,
-            "levels",
-            tuple((r, Relation(universe, tuple(by_rank[r]))) for r in sorted(by_rank, reverse=True)),
-        )
+        object.__setattr__(self, "levels", _levels(universe, by_rank))
 
     @classmethod
     def from_levels(cls, universe: WorldUniverse, levels: Iterable[Level]) -> "PedigreedBeliefState":

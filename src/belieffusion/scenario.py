@@ -18,10 +18,12 @@ states by construction. A rank is a run of decimal digits
 
 Each line is read as a list of plain token strings. A ``pairs`` line is
 one index loop that ORs each pair's bit into the source's row masks; a
-``layers`` line is one loop that builds a mask per block, checks overlap
-and coverage once on those masks, and hands them to the row builder of
-``from_layers``. Nothing is validated twice. Errors are raised at a
-token index, and only then is the line tokenized again to find the
+``layers`` line is one loop that builds a mask per block and hands the
+blocks to the library: the partition rule and the row builder are those
+of ``from_layers``, and a pedigree's per-rank relations come from the
+level builder of ``PedigreedBeliefState``. The reader only turns tokens
+into masks and positions; nothing is validated twice. Errors are raised
+at a token index, and only then is the line tokenized again to find the
 column, so every ParseError still carries its line, column, reason and
 token. Serialized pedigrees use the canonical wire format
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from .aggregation import Profile, Source
 from .bitset import bits
 from .formulas import PropUniverse, canonical_world_name, generate_universe
-from .pedigree import Agent, PedigreedBeliefState, induced_state
+from .pedigree import Agent, PedigreedBeliefState, _levels, induced_state
 from .relations import Relation, WorldUniverse
 from .states import BeliefState, LayeredForm, _layer_rows, to_layers
 
@@ -238,7 +240,7 @@ def parse_scenario(text: str) -> Scenario:
                 _expect(t, 2, "=")
                 values = _lits_to_bits(t, prop.variables)
                 canonical = canonical_world_name(prop.variables, values)
-                if canonical not in prop.universe.worlds:
+                if canonical not in prop.universe:
                     raise _TokenError(n, "alias target already renamed")
                 try:
                     prop = prop.rename_world(canonical, alias)
@@ -343,7 +345,6 @@ def _read_layers(t: list[str], u: WorldUniverse) -> list[int]:
     index = u._index
     n = len(t)
     blocks: list[tuple[int, bool]] = []
-    seen = overlap = 0
     i = 1
     while True:
         _expect(t, i, "[")
@@ -365,20 +366,15 @@ def _read_layers(t: list[str], u: WorldUniverse) -> list[int]:
         if not m:
             raise _TokenError(i, "empty layer block")
         blocks.append((m, connected))
-        # the first block that repeats a world of an earlier one
-        overlap = overlap or seen & m
-        seen |= m
         if i < n and t[i] == ">":
             i += 1
             continue
         _done(t, i)
         break
-    if overlap:
-        raise _TokenError(n, f"world(s) in more than one layer: {', '.join(sorted(u.names(overlap)))}")
-    missing = (1 << len(u)) - 1 & ~seen
-    if missing:
-        raise _TokenError(n, f"layers must cover every world; missing {', '.join(u.names(missing))}")
-    return _layer_rows(len(u), blocks)
+    try:
+        return _layer_rows(u, blocks)
+    except ValueError as e:
+        raise _TokenError(n, str(e)) from None
 
 
 def format_layers(layered: LayeredForm) -> str:
@@ -447,7 +443,7 @@ def parse_pedigree(text: str, universe: WorldUniverse) -> PedigreedBeliefState:
             _done(t, 5)
             bit = 1 << y
             if seen[x] & bit:
-                raise _TokenError(5, f"duplicate pair {t[0]} < {t[2]}")
+                raise _TokenError(0, f"duplicate pair {t[0]} < {t[2]}")
             seen[x] |= bit
             by_rank.setdefault(int(rank), [0] * len(universe))[x] |= bit
         except _TokenError as e:
@@ -455,10 +451,7 @@ def parse_pedigree(text: str, universe: WorldUniverse) -> PedigreedBeliefState:
     if not header_seen:
         raise ParseError(1, 1, "missing 'pedigree' header")
     # The parse checked that no pair is labelled twice.
-    return PedigreedBeliefState.from_levels(
-        universe,
-        ((r, Relation(universe, tuple(by_rank[r]))) for r in sorted(by_rank, reverse=True)),
-    )
+    return PedigreedBeliefState.from_levels(universe, _levels(universe, by_rank))
 
 
 def export_dot(obj: LayeredForm | PedigreedBeliefState) -> str:

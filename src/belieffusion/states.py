@@ -26,26 +26,26 @@ from .relations import (
 )
 
 
-class NotModularError(ValueError):
+class _WitnessError(ValueError):
+    """A relation property failing on a witness triple (x, y, z); each
+    subclass words the failure in its ``_TEXT``."""
+
+    _TEXT: str
+
     def __init__(self, witness: tuple[str, str, str], subject: str | None = None):
         x, y, z = witness
         who = f"{subject}: " if subject else ""
-        super().__init__(
-            f"{who}not modular: {x} < {y} holds but neither {x} < {z} nor {z} < {y}"
-        )
+        super().__init__(who + self._TEXT.format(x=x, y=y, z=z))
         self.witness = witness
         self.subject = subject
 
 
-class NotTransitiveError(ValueError):
-    def __init__(self, witness: tuple[str, str, str], subject: str | None = None):
-        x, y, z = witness
-        who = f"{subject}: " if subject else ""
-        super().__init__(
-            f"{who}not transitive: {x} < {y} and {y} < {z} hold but not {x} < {z}"
-        )
-        self.witness = witness
-        self.subject = subject
+class NotModularError(_WitnessError):
+    _TEXT = "not modular: {x} < {y} holds but neither {x} < {z} nor {z} < {y}"
+
+
+class NotTransitiveError(_WitnessError):
+    _TEXT = "not transitive: {x} < {y} and {y} < {z} hold but not {x} < {z}"
 
 
 class VacuousConditionError(ValueError):
@@ -124,50 +124,49 @@ def to_layers(b: BeliefState) -> LayeredForm:
         classes[signature] = classes.get(signature, 0) | 1 << x
 
     # Block order is forced: distinct classes are strictly comparable, so
-    # a class's position is the number of classes strictly before it,
-    # i.e. the number of other classes' first worlds in its first world's
-    # column.
-    firsts = {m: lowest(m) for m in classes.values()}
-    leaders = sum(1 << x for x in firsts.values())
-
-    def position(m: int) -> int:
-        x = firsts[m]
-        return (r.cols[x] & leaders & ~(1 << x)).bit_count()
-
-    members = sorted(classes.values(), key=position)
+    # the other-class worlds more likely than a class's first world are
+    # exactly the earlier blocks, and their count increases strictly.
+    members = sorted(classes.values(), key=lambda m: (r.cols[lowest(m)] & ~m).bit_count())
     blocks = tuple(
-        Block(frozenset(u.names(m)), r.rows[firsts[m]] & m == m) for m in members
+        Block(frozenset(u.names(m)), r.rows[lowest(m)] & m == m) for m in members
     )
     return LayeredForm(u, blocks)
 
 
 def from_layers(layered: LayeredForm) -> BeliefState:
-    """Rebuild the belief state from an ordered block partition."""
-    u = layered.universe
-    seen: set[str] = set()
-    for block in layered.blocks:
-        if not block.worlds:
-            raise ValueError("blocks must be non-empty")
-        overlap = seen & block.worlds
-        if overlap:
-            raise ValueError(f"world(s) in more than one block: {sorted(overlap)}")
-        seen |= block.worlds
-    missing = set(u.worlds) - seen
-    if missing:
-        raise ValueError(f"world(s) missing from the partition: {sorted(missing)}")
-    blocks = [(u.mask(block.worlds), block.connected) for block in layered.blocks]
-    return BeliefState(Relation(u, tuple(_layer_rows(len(u), blocks))))
+    """Rebuild the belief state from an ordered block partition.
 
-
-def _layer_rows(n: int, blocks: Sequence[tuple[int, bool]]) -> list[int]:
-    """The row masks of a layered state over n worlds, from its blocks as
-    (mask, connected), most likely first.
-
-    Every world of a block is below every world of the later blocks, and
-    of its own block too when that block is connected. The blocks must
-    partition the worlds; callers check that, each with its own messages.
+    An unknown world raises UnknownWorldError; a bad partition raises the
+    ValueError of ``_layer_rows``, worded as the scenario reader's errors.
     """
-    rows = [0] * n
+    u = layered.universe
+    blocks = [(u.mask(block.worlds), block.connected) for block in layered.blocks]
+    return BeliefState(Relation(u, tuple(_layer_rows(u, blocks))))
+
+
+def _layer_rows(u: WorldUniverse, blocks: Sequence[tuple[int, bool]]) -> list[int]:
+    """The row masks of the layered state over ``u`` whose blocks are
+    given as (mask, connected), most likely first.
+
+    The blocks must partition the worlds. This is the one check of that
+    rule, for ``from_layers`` and the scenario reader's ``layers`` lines
+    alike: a ValueError names an empty block, else the worlds of the first
+    block that repeats earlier ones, else the worlds no block covers.
+    Every world of a block is below every world of the later blocks, and
+    of its own block too when that block is connected.
+    """
+    seen = overlap = 0
+    for m, _ in blocks:
+        if not m:
+            raise ValueError("empty layer block")
+        overlap = overlap or seen & m
+        seen |= m
+    if overlap:
+        raise ValueError(f"world(s) in more than one layer: {', '.join(sorted(u.names(overlap)))}")
+    missing = (1 << len(u)) - 1 & ~seen
+    if missing:
+        raise ValueError(f"layers must cover every world; missing {', '.join(u.names(missing))}")
+    rows = [0] * len(u)
     below = 0
     for m, connected in reversed(blocks):
         row = below | m if connected else below

@@ -699,6 +699,7 @@ def parse_pedigree_oracle(text: str, universe: WorldUniverse) -> PedigreedBelief
             raise lp.error_at_last(f"rank must be a non-negative integer, found {rank_tok!r}", rank_tok)
         lp.done()
         if (x, y) in seen:
+            lp.pos = 0
             raise lp.error(f"duplicate pair {x} < {y}")
         seen.add((x, y))
         entries.append((x, y, int(rank_tok)))
@@ -733,8 +734,11 @@ def truth_oracle(f, env) -> bool:
 
 
 def models_oracle(pu: PropUniverse, f) -> frozenset:
-    """The worlds whose valuation satisfies f, one world at a time."""
-    return frozenset(w for w in pu.universe.worlds if truth_oracle(f, pu.valuation(w)))
+    """The worlds whose valuation satisfies f, one world at a time, read
+    from the valuations tuple, not from the variable masks under test."""
+    return frozenset(
+        w for w, values in pu.valuations if truth_oracle(f, dict(zip(pu.variables, values)))
+    )
 
 
 def conditional_oracle(r: Relation, p_worlds: frozenset, q_worlds: frozenset):

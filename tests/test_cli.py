@@ -487,6 +487,19 @@ def outcome(result):
     return (result.exit_code, result.stdout, result.stderr)
 
 
+@pytest.mark.parametrize(
+    "selector, result",
+    [
+        (["--source", "", "--fused"], (2, "", "exactly one of --source, --agent, or --fused is required\n")),
+        (["--source", "s0", "--agent", ""], (2, "", "exactly one of --source, --agent, or --fused is required\n")),
+        (["--agent", ""], (2, "", "unknown agent id ''\n")),
+    ],
+)
+def test_export_dot_counts_empty_selectors(runner, scenario_file, selector, result):
+    got = runner.invoke(main, ["export-dot", scenario_file(EXAMPLE4), *selector])
+    assert outcome(got) == result
+
+
 def test_validate_prints_total_classes_of_connected_blocks(runner, scenario_file):
     text = "worlds a b c\nsource s rank 1\n  layers [a b]* > [c]*\n"
     result = runner.invoke(main, ["validate", scenario_file(text)])

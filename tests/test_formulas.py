@@ -108,6 +108,18 @@ def test_valuation_and_rename_world_errors():
         pu.rename_world("F.D", "F.!D")
     with pytest.raises(UnknownWorldError, match="^unknown world 'zz'$"):
         pu.rename_world("zz", "new")
+    with pytest.raises(UnknownWorldError, match="^unknown world 'zz'$"):
+        pu.rename_world("zz", "zz")
+    # "already in use" is checked before the old name is looked up
+    with pytest.raises(ValueError, match="^world name 'F.!D' already in use$"):
+        pu.rename_world("zz", "F.!D")
+
+
+def test_rename_world_to_its_own_name_is_the_identity():
+    pu = generate_universe(["F", "D"])
+    assert pu.rename_world("F.D", "F.D") == pu
+    renamed = pu.rename_world("F.D", "ok")
+    assert renamed.rename_world("ok", "ok") == renamed
 
 
 def test_models_examples():
@@ -233,6 +245,8 @@ def test_models_mask_matches_per_world_evaluation_on_aliased_universes():
     rng = random.Random(4112)
     for case in range(400):
         pu = aliased_prop_universe(rng, VARS[: 2 + case % 3])
+        for name, values in pu.valuations:
+            assert pu.valuation(name) == dict(zip(pu.variables, values))
         f = random_formula(rng, pu.variables, 5)
         expected = models_oracle(pu, f)
         assert models(pu, f) == expected

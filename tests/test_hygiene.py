@@ -1,8 +1,10 @@
 """Static checks on the package source: nothing it imports goes unused,
-and no private module-level name is left that nothing reads."""
+no private module-level name is left that nothing reads, and README's
+module table lists exactly the package's modules."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -77,3 +79,12 @@ def test_every_private_name_is_read(path):
             used |= set(imported_names(ast.parse(sibling.read_text())))
     unread = sorted(f"{name} (line {line})" for name, line in private_definitions(tree).items() if name not in used)
     assert not unread, f"{path.name} defines private names nothing reads: {', '.join(unread)}"
+
+
+def test_readme_layout_table_names_every_module():
+    """README's "Library layout" table has one row per module of the
+    package, ``__init__.py`` aside, and no row for a module that is gone."""
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    table = readme.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    rows = re.findall(r"^\| `belieffusion\.(\w+)` \|", table, re.MULTILINE)
+    assert sorted(rows) == [p.stem for p in MODULES]

@@ -150,6 +150,8 @@ def test_pedigree_constructor_checks_labels_and_reprs_its_entries():
         PedigreedBeliefState(U2, [("a", "b", 1), ("b", "a", -1)])
     with pytest.raises(ValueError, match="^duplicate labeled pair$"):
         PedigreedBeliefState(U2, [("a", "b", 1), ("a", "b", 2)])
+    assert pbs.label("a", "b") == 1
+    assert pbs.label("b", "a") is None
 
 
 def test_fuse_empty_and_mismatched():
@@ -158,6 +160,8 @@ def test_fuse_empty_and_mismatched():
         fuse([])
     with pytest.raises(UniverseMismatchError):
         fuse([empty_pedigree(U3), empty_pedigree(U2)])
+    with pytest.raises(UniverseMismatchError, match="^explicit universe differs from the states'$"):
+        fuse([empty_pedigree(U3)], U2)
 
 
 def test_fusion_theorem_random_partitions():
@@ -182,6 +186,8 @@ def test_fuse_equal_rank_examples():
     assert fuse_equal_rank([a]).relation == a.relation
     empty = from_relation(relation(U3))
     assert fuse_equal_rank([empty, empty]).relation.pairs == frozenset()
+    with pytest.raises(ValueError, match="^need at least one state$"):
+        fuse_equal_rank([])
 
 
 def test_equal_rank_shortcut_matches_pedigree_fusion():
@@ -280,4 +286,13 @@ def test_union_profile_rejects_conflicting_shared_ids():
     a1 = Agent("A1", Profile(U3, (S0,)))
     a2 = Agent("A2", Profile(U3, (src("s0", 2, U3, ("a", "b"), ("c", "b")),)))
     with pytest.raises(ValueError):
+        union_profile([a1, a2])
+
+
+def test_union_profile_needs_agents_over_one_universe():
+    with pytest.raises(ValueError, match="^need at least one agent$"):
+        union_profile([])
+    a1 = Agent("A1", Profile(U3, (S0,)))
+    a2 = Agent("A2", Profile(U2, ()))
+    with pytest.raises(UniverseMismatchError, match="^agents span different universes$"):
         union_profile([a1, a2])

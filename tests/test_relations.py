@@ -145,6 +145,8 @@ def test_union_all_universe_handling():
         union_all([])
     with pytest.raises(UniverseMismatchError):
         union_all([relation(U2), relation(U3)])
+    with pytest.raises(UniverseMismatchError, match="^explicit universe differs from the relations'$"):
+        union_all([relation(U2)], U3)
 
 
 def test_exhaustive_small_invariants():

@@ -87,6 +87,23 @@ agent A = st
     assert st_rel.has("crashed", "ok")
 
 
+def test_alias_to_the_canonical_name_is_a_no_op():
+    body = "source s rank 1\n  layers [F.D] > [F.!D !F.D !F.!D]\n"
+    s = parse_scenario("vars F D\nworld F.D = F D\n" + body)
+    assert s == parse_scenario("vars F D\n" + body)
+    # no alias line is printed for a canonically named world
+    assert format_scenario(s).splitlines()[:3] == ["# format 1", "vars F D", "source s rank 1"]
+    assert parse_scenario(format_scenario(s)) == s
+
+
+def test_alias_to_another_worlds_name_is_in_use():
+    with pytest.raises(ParseError) as exc:
+        parse_scenario("vars F D\nworld F.!D = F D\n")
+    assert (exc.value.line, exc.value.column) == (2, 17)
+    assert exc.value.reason == "world name 'F.!D' already in use"
+    assert exc.value.token == "F.!D"
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -223,7 +240,7 @@ def test_pedigree_duplicate_pair_position():
     text = "pedigree\na < b @ 1\nc < b @ 2\n\na < b @ 2\n"
     with pytest.raises(ParseError) as exc:
         parse_pedigree(text, u)
-    assert (exc.value.line, exc.value.column) == (5, 10)
+    assert (exc.value.line, exc.value.column) == (5, 1)
     assert exc.value.reason == "duplicate pair a < b"
     # a pair and its reverse are different pairs
     assert parse_pedigree("pedigree\na < b @ 1\nb < a @ 1\n", u).label("b", "a") == 1

@@ -80,6 +80,8 @@ def test_topologies():
         Topology.explicit([("A", "Z")]).edge_list(ids)
     with pytest.raises(TopologyError):
         Topology.explicit([("A", "A")]).edge_list(ids)
+    with pytest.raises(TopologyError, match="^unknown topology kind 'mesh'$"):
+        Topology("mesh").edge_list(ids)
 
 
 def test_config_validation():
@@ -87,8 +89,13 @@ def test_config_validation():
         SimConfig(max_rounds=0)
     with pytest.raises(ValueError):
         SimConfig(drop_prob=1.5)
+    with pytest.raises(ValueError, match=r"^duplication_prob must lie in \[0, 1\]$"):
+        SimConfig(duplication_prob=1.5)
     with pytest.raises(ValueError):
         run_simulation([], Topology.complete(), SimConfig())
+    a = example_agents()[0]
+    with pytest.raises(ValueError, match="^agent ids must be unique$"):
+        run_simulation([a, a], Topology.complete(), SimConfig())
 
 
 def test_two_agents_converge_to_global():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import random
 
@@ -10,16 +11,20 @@ from belieffusion import (
     LayeredForm,
     NotModularError,
     NotTransitiveError,
+    ParseError,
+    UnknownWorldError,
     VacuousConditionError,
     agnosticism,
     classify_class,
     classify_properties,
     conflict,
     evaluate_conditional,
+    format_layers,
     from_layers,
     from_relation,
     generate_universe,
     parse_formula,
+    parse_scenario,
     relation,
     strict_version,
     to_layers,
@@ -143,6 +148,61 @@ def test_from_layers_rejects_bad_partitions():
                 (Block(frozenset("abc"), False), Block(frozenset("a"), False)),
             )
         )
+
+
+def test_from_layers_words_partition_errors_as_the_layers_line():
+    def blocks(*groups):
+        return LayeredForm(U3, tuple(Block(frozenset(g), False) for g in groups))
+
+    # an empty block, wherever it stands, before an earlier overlap
+    with pytest.raises(ValueError, match="^empty layer block$"):
+        from_layers(blocks("ab", "a", "", "c"))
+    # the first block that repeats worlds, not a later one
+    with pytest.raises(ValueError, match=r"^world\(s\) in more than one layer: a, b$"):
+        from_layers(blocks("c", "ab", "ba", "c"))
+    with pytest.raises(ValueError, match="^layers must cover every world; missing a, c$"):
+        from_layers(blocks("b"))
+    # an unknown world fails before the partition is checked
+    with pytest.raises(UnknownWorldError, match="^unknown world 'z'$"):
+        from_layers(blocks("", "az"))
+
+
+def test_from_layers_and_layers_lines_share_one_partition_rule():
+    """Random block lists, partitions and near-partitions alike: from_layers
+    and a ``layers`` line give the same relation, or the same reason."""
+    rng = random.Random(41)
+    kinds = collections.Counter()
+    for _ in range(600):
+        u = small_universe(rng.randint(1, 5))
+        groups = [set(block.worlds) for block in random_layered(rng, u).blocks]
+        for _ in range(rng.randint(0, 2)):
+            at = rng.randrange(len(groups))
+            move = rng.random()
+            if move < 0.15:
+                groups.insert(at, set())
+            elif move < 0.6:
+                groups[at].add(rng.choice(u.worlds))
+            else:
+                groups[at].discard(rng.choice(u.worlds))
+        layered = LayeredForm(u, tuple(Block(frozenset(g), rng.random() < 0.5) for g in groups))
+        text = f"worlds {' '.join(u.worlds)}\nsource s rank 0\n  layers {format_layers(layered)}\n"
+        try:
+            want = from_layers(layered).relation
+        except ValueError as e:
+            want = str(e)
+        try:
+            got = parse_scenario(text).source("s").state.relation
+        except ParseError as e:
+            got = e.reason
+        assert got == want, text
+        kinds[want.split(":")[0].split(";")[0] if isinstance(want, str) else "relation"] += 1
+    assert sorted(kinds) == [
+        "empty layer block",
+        "layers must cover every world",
+        "relation",
+        "world(s) in more than one layer",
+    ], kinds
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_layer_round_trip_exhaustive():
