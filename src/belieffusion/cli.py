@@ -15,7 +15,7 @@ import click
 from .aggregation import Profile, agr, agr_rf, agr_star, agr_un, un
 from .formulas import FormulaSyntaxError, UndeclaredVariableError, parse_formula
 from .pedigree import PedigreedBeliefState, fuse, induced_state
-from .relations import Relation
+from .relations import Relation, transitivity_witness
 from .scenario import (
     ParseError,
     Scenario,
@@ -67,6 +67,14 @@ def _load(path: str) -> Scenario:
         _fail(1, f"{path}: {e}")
 
 
+def _write(path: str, payload: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as e:
+        _fail(2, f"cannot write {path}: {e}")
+
+
 def _pair_lines(r: Relation) -> list[str]:
     return [f"{x} < {y}" for x, y in r.sorted_pairs()]
 
@@ -90,7 +98,8 @@ def _find(lookup, key):
 def _pick_sources(scenario: Scenario, spec: str) -> Profile:
     if spec == "all":
         return scenario.profile
-    return _find(scenario.profile.subset, spec.split(","))
+    # a repeated id counts once, as in _pick_agents, where fusion is idempotent
+    return _find(scenario.profile.subset, list(dict.fromkeys(spec.split(","))))
 
 
 def _pick_agents(scenario: Scenario, spec: str):
@@ -135,16 +144,13 @@ def aggregate(scenario_path: str, op_name: str, sources_spec: str) -> None:
     scenario = _load(scenario_path)
     profile = _pick_sources(scenario, sources_spec)
     result = _OPS[op_name](profile)
-    state = result if isinstance(result, BeliefState) else None
-    r = result.relation if state else result
+    is_state = isinstance(result, BeliefState)
+    r = result.relation if is_state else result
     _echo_lines(_pair_lines(r))
-    if state is None:
-        try:
-            state = BeliefState.from_relation(r)
-        except (NotModularError, NotTransitiveError):
-            state = None
-    if state is not None:
-        click.echo(f"layers: {format_layers(to_layers(state))}")
+    # Every operator returns a modular relation, so a relation is a belief
+    # state exactly when it is transitive.
+    if is_state or transitivity_witness(r) is None:
+        click.echo(f"layers: {format_layers(to_layers(BeliefState(r)))}")
 
 
 @main.command(name="fuse")
@@ -159,11 +165,10 @@ def fuse_cmd(scenario_path: str, agents_spec: str, out_path: str | None) -> None
         _fail(2, "no agents selected")
     fused = fuse([a.pedigree() for a in agents], scenario.universe)
     payload = serialize_pedigree(fused)
+    if out_path is not None:
+        _write(out_path, payload)
     click.echo(payload, nl=False)
     _echo_lines(["induced", *_pair_lines(induced_state(fused).relation)])
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
 
 
 @main.command()
@@ -278,8 +283,7 @@ def export_dot_cmd(scenario_path: str, source_id: str | None, agent_id: str | No
     if out_path is None:
         click.echo(payload, nl=False)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write(out_path, payload)
 
 
 if __name__ == "__main__":

@@ -39,10 +39,14 @@ from .relations import WorldUniverse
 KEYWORDS = frozenset({"true", "false"})
 _OPERATORS = frozenset({"<->", "->", "!", "&", "|", "(", ")"})
 
+# The one rule for names: a formula token, and (minus the keywords) a
+# variable that ``generate_universe`` accepts.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 # One alternative per token kind; ``bad`` catches the first character no
 # token can start with. Whitespace matches nothing and is skipped.
 _TOKEN_RE = re.compile(
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><->|->|[!&|()])|(?P<bad>\S)"
+    rf"(?P<name>{_NAME_RE.pattern})|(?P<op><->|->|[!&|()])|(?P<bad>\S)"
 )
 
 
@@ -356,9 +360,15 @@ def canonical_world_name(variables: tuple[str, ...], bits: tuple[bool, ...]) -> 
 def generate_universe(variables: tuple[str, ...] | list[str]) -> PropUniverse:
     """All 2^k valuation worlds, first variable most significant, true first.
 
-    World names are dot-joined literal tokens, e.g. ``F.!D``.
+    World names are dot-joined literal tokens, e.g. ``F.!D``. Each
+    variable must be a name a formula can mention: it matches
+    ``[A-Za-z_][A-Za-z0-9_]*`` and is not a keyword (``true``, ``false``).
+    That is checked first, then that the names are distinct.
     """
     variables = tuple(variables)
+    for v in variables:
+        if v in KEYWORDS or not _NAME_RE.fullmatch(v):
+            raise ValueError(f"invalid variable name {v!r}")
     if len(set(variables)) != len(variables):
         raise ValueError("variable names must be distinct")
     if not variables:

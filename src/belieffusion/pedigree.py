@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .aggregation import Level, Profile, Source, refine, refinement_levels
+from .aggregation import Level, Profile, Source, agr, refine, refinement_levels
 from .bitset import bits
 from .relations import (
     Relation,
@@ -164,7 +164,13 @@ class Agent:
         return pedigree_from_sources(self.informants)
 
     def induced(self) -> BeliefState:
-        return induced_state(self.pedigree())
+        """The agent's belief state: ``agr`` of its informants.
+
+        Equal to ``induced_state(self.pedigree())``, since the pedigree's
+        levels unite to ``agr_rf``, and a belief state by construction, so
+        no witness search runs.
+        """
+        return agr(self.informants)
 
 
 def union_profile(agents: Sequence[Agent]) -> Profile:

@@ -161,15 +161,19 @@ def classify_properties(r: Relation) -> PropertyFlags:
 
     Quasi-transitivity and acyclicity are evaluated on the strict version
     of ``r``; acyclicity means the strict version has no directed cycle.
-    A quasi-transitive relation is acyclic (its strict version is a strict
-    partial order), so only a relation that is not quasi-transitive needs
-    the transitive closure of its strict version for that flag.
+    The strict version of a transitive relation is transitive, so only a
+    relation that is not transitive needs the search on its strict
+    version. A quasi-transitive relation is acyclic (its strict version is
+    a strict partial order), so only a relation that is not
+    quasi-transitive needs the transitive closure of its strict version
+    for that flag.
     """
     rows, cols, full = r.rows, r.cols, _full(r)
     loops = [row >> x & 1 for x, row in enumerate(rows)]
     both = [row & col for row, col in zip(rows, cols)]
     strict = strict_version(r)
-    quasi_transitive = transitivity_witness(strict) is None
+    transitive = transitivity_witness(r) is None
+    quasi_transitive = transitive or transitivity_witness(strict) is None
     return PropertyFlags(
         reflexive=all(loops),
         irreflexive=not any(loops),
@@ -178,7 +182,7 @@ def classify_properties(r: Relation) -> PropertyFlags:
         antisymmetric=all(m & ~(1 << x) == 0 for x, m in enumerate(both)),
         total=all(row | col == full for row, col in zip(rows, cols)),
         modular=modularity_witness(r) is None,
-        transitive=transitivity_witness(r) is None,
+        transitive=transitive,
         quasi_transitive=quasi_transitive,
         acyclic=quasi_transitive
         or not any(row >> x & 1 for x, row in enumerate(transitive_closure(strict).rows)),

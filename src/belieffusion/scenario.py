@@ -36,7 +36,6 @@ with one line per labeled pair, sorted by universe order.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .aggregation import Profile, Source
@@ -55,7 +54,8 @@ _PUNCTUATION = [(c, f" {c} ") for c in "<>=,[]*"]
 #: The most variables a ``vars`` line may declare. ``vars`` builds all
 #: 2^k worlds at once, and a relation over 2^12 = 4096 worlds already
 #: takes about 2 MB of row masks, so a longer line is a parse error
-#: rather than an attempt to exhaust memory.
+#: rather than an attempt to exhaust memory. A ``worlds`` line may
+#: declare at most 2 ** MAX_VARS worlds, for the same reason.
 MAX_VARS = 12
 
 
@@ -210,11 +210,12 @@ def parse_scenario(text: str) -> Scenario:
                 names = t[1:]
                 if not names:
                     raise _TokenError(n, f"{keyword} needs at least one name")
-                if keyword == "vars" and len(names) > MAX_VARS:
+                cap, noun = {"vars": (MAX_VARS, "variables"), "worlds": (2**MAX_VARS, "worlds")}[keyword]
+                if len(names) > cap:
                     raise _TokenError(
-                        1 + MAX_VARS,
-                        f"vars declares {len(names)} variables; at most {MAX_VARS} are allowed",
-                        t[1 + MAX_VARS],
+                        1 + cap,
+                        f"{keyword} declares {len(names)} {noun}; at most {cap} are allowed",
+                        t[1 + cap],
                     )
                 if keyword == "worlds":
                     try:
@@ -222,9 +223,6 @@ def parse_scenario(text: str) -> Scenario:
                     except ValueError as e:
                         raise _TokenError(n, str(e))
                 else:
-                    for name in names:
-                        if not _is_var_name(name):
-                            raise _TokenError(n, f"invalid variable name {name!r}", name)
                     try:
                         prop = generate_universe(tuple(names))
                     except ValueError as e:
@@ -294,10 +292,6 @@ def parse_scenario(text: str) -> Scenario:
         for aid, ids in agent_ids.items()
     )
     return Scenario(universe, prop, profile, agents)
-
-
-def _is_var_name(name: str) -> bool:
-    return re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) is not None
 
 
 def _lits_to_bits(t: list[str], variables: tuple[str, ...]) -> tuple[bool, ...]:
@@ -483,7 +477,8 @@ def export_dot(obj: LayeredForm | PedigreedBeliefState) -> str:
 
     lines = ["digraph belief_state {"]
     for i, block in enumerate(layered.blocks):
-        name = ",".join(sorted(block.worlds, key=u.index))
+        # a DOT string escapes backslash and double quote
+        name = ",".join(sorted(block.worlds, key=u.index)).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{name}"];')
     for i, block in enumerate(layered.blocks):
         if block.connected:

@@ -489,11 +489,12 @@ def parse_scenario_oracle(text: str) -> Scenario:
                 names.append(lp.next("a name"))
             if not names:
                 raise lp.error(f"{keyword} needs at least one name")
-            if keyword == "vars" and len(names) > MAX_VARS:
-                first_over, column = tokens[1 + MAX_VARS]
+            cap, noun = (MAX_VARS, "variables") if keyword == "vars" else (2**MAX_VARS, "worlds")
+            if len(names) > cap:
+                first_over, column = tokens[1 + cap]
                 raise ParseError(
                     lineno, column,
-                    f"vars declares {len(names)} variables; at most {MAX_VARS} are allowed",
+                    f"{keyword} declares {len(names)} {noun}; at most {cap} are allowed",
                     first_over,
                 )
             if keyword == "worlds":
@@ -504,7 +505,7 @@ def parse_scenario_oracle(text: str) -> Scenario:
             else:
                 for n in names:
                     if not _oracle_var_name(n):
-                        raise lp.error(f"invalid variable name {n!r}", n)
+                        raise lp.error(f"invalid variable name {n!r}")
                 try:
                     prop = generate_universe(tuple(names))
                 except ValueError as e:
@@ -613,7 +614,8 @@ def parse_scenario_oracle(text: str) -> Scenario:
 
 
 def _oracle_var_name(name: str) -> bool:
-    return re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) is not None
+    """A name a formula can mention as a variable: not a keyword."""
+    return name not in ("true", "false") and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) is not None
 
 
 def _oracle_world(lp: _OracleCursor, universe: WorldUniverse) -> str:

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from belieffusion import relation, universe
 from belieffusion.cli import main
+from belieffusion.scenario import MAX_VARS
 from helpers import choice_oracle, layered_pairs
 
 EXAMPLE4 = """\
@@ -511,6 +512,14 @@ def test_aggregate_intransitive_union_prints_no_layers(runner, scenario_file):
     assert outcome(result) == (0, "a < b\nb < a\nb < c\nc < b\n", "")
 
 
+def test_aggregate_intransitive_refinement_prints_no_layers(runner, scenario_file):
+    # s0 and s1 share rank 1, so their refinement is their union
+    result = runner.invoke(
+        main, ["aggregate", scenario_file(EXAMPLE4), "--op", "agrrf", "--sources", "s0,s1"]
+    )
+    assert outcome(result) == (0, "a < b\nb < a\nb < c\nc < b\n", "")
+
+
 @pytest.mark.parametrize(
     "args, stderr",
     [
@@ -588,3 +597,55 @@ def test_export_dot_agent(runner, scenario_file):
 def test_unknown_ids_are_usage_errors(runner, scenario_file, args, stderr):
     result = runner.invoke(main, [args[0], scenario_file(EXAMPLE4), *args[1:]])
     assert outcome(result) == (2, "", stderr)
+
+
+WORLDS_OVER_CAP = "worlds " + " ".join(f"w{i}" for i in range(2**MAX_VARS + 1)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "data, args, code, alike",
+    [
+        # a repeated source id counts once
+        pytest.param(ROBOT, ["aggregate", "--sources", "st,sm,st"], 0, ["aggregate", "--sources", "st,sm"],
+                     id="aggregate-repeated-source"),
+        pytest.param(ROBOT, ["query", "--sources", "st,st", "--if", "D", "--then", "F"], 0,
+                     ["query", "--sources", "st", "--if", "D", "--then", "F"], id="query-repeated-source"),
+        # each failure is one stderr line, and nothing on stdout
+        pytest.param(EXAMPLE4, ["fuse", "--out", "{missing}/fused.txt"], 2, None, id="fuse-unwritable-out"),
+        pytest.param(EXAMPLE4, ["export-dot", "--fused", "--out", "{missing}/fused.dot"], 2, None,
+                     id="export-dot-unwritable-out"),
+        pytest.param("vars true F\n", ["validate"], 2, None, id="keyword-variable"),
+        pytest.param(WORLDS_OVER_CAP, ["validate"], 2, None, id="worlds-over-cap"),
+        pytest.param(BAD, ["validate"], 1, None, id="invalid-source"),
+        pytest.param(EXAMPLE4, ["aggregate", "--sources", "s0,zz"], 2, None, id="unknown-source"),
+        pytest.param(EXAMPLE4, ["query", "--agent", "zz", "--if", "a", "--then", "b"], 2, None,
+                     id="unknown-agent"),
+        pytest.param(EXAMPLE4, ["simulate", "--topology", "edges:A1p"], 2, None, id="bad-edge"),
+        pytest.param(EXAMPLE4, ["simulate", "--topology", "tree"], 2, None, id="bad-topology"),
+        pytest.param(ROBOT, ["query", "--agent", "A", "--if", "F &", "--then", "D"], 2, None, id="bad-formula"),
+        pytest.param(b"worlds a b\n\xff\n", ["validate"], 2, None, id="not-utf-8"),
+    ],
+)
+def test_no_input_ends_in_a_traceback(runner, tmp_path, data, args, code, alike):
+    path = tmp_path / "scenario.scn"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+
+    def run(args):
+        args = [a.replace("{missing}", str(tmp_path / "missing")) for a in args]
+        return runner.invoke(main, [args[0], str(path), *args[1:]])
+
+    result = run(args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == code
+    if alike is not None:
+        assert outcome(result) == outcome(run(alike))
+    else:
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+
+
+def test_unwritable_out_is_a_usage_error(runner, scenario_file, tmp_path):
+    target = tmp_path / "missing" / "fused.txt"
+    result = runner.invoke(main, ["fuse", scenario_file(EXAMPLE4), "--out", str(target)])
+    assert outcome(result)[:2] == (2, "")
+    assert result.stderr.startswith(f"cannot write {target}: ")

@@ -90,6 +90,31 @@ def test_generate_universe_order():
         generate_universe(["X", "X"])
 
 
+@pytest.mark.parametrize(
+    "names, bad",
+    [
+        (["true"], "true"),
+        (["F", "false"], "false"),
+        (["1x"], "1x"),
+        (["a.b"], "a.b"),
+        ([""], ""),
+        # the name rule runs before the distinctness check
+        (["true", "true"], "true"),
+    ],
+)
+def test_generate_universe_rejects_names_no_formula_can_mention(names, bad):
+    with pytest.raises(ValueError) as exc:
+        generate_universe(names)
+    assert str(exc.value) == f"invalid variable name {bad!r}"
+
+
+def test_every_accepted_variable_parses_as_itself():
+    names = ["F", "_", "x_1", "True", "FALSE", "trueish"]
+    generate_universe(names)
+    for name in names:
+        assert parse_formula(name) == Var(name)
+
+
 def test_generate_universe_matches_the_per_world_construction():
     names = ["F", "D", "x_1", "Q", "B", "A", "z", "C"]
     for k in range(1, len(names) + 1):

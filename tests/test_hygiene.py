@@ -1,6 +1,7 @@
 """Static checks on the package source: nothing it imports goes unused,
-no private module-level name is left that nothing reads, and README's
-module table lists exactly the package's modules."""
+no private module-level name is left that nothing reads, the CLI opens
+files only in its two I/O helpers, and README's module table lists
+exactly the package's modules."""
 
 import ast
 import pathlib
@@ -88,3 +89,18 @@ def test_readme_layout_table_names_every_module():
     table = readme.split("## Library layout", 1)[1].split("\n\n", 2)[1]
     rows = re.findall(r"^\| `belieffusion\.(\w+)` \|", table, re.MULTILINE)
     assert sorted(rows) == [p.stem for p in MODULES]
+
+
+def test_cli_opens_files_only_in_load_and_write():
+    """``_load`` and ``_write`` turn an OSError into a one-line usage
+    error; an ``open`` anywhere else in the CLI would end in a traceback."""
+
+    def opens(tree: ast.AST) -> int:
+        return sum(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"
+            for node in ast.walk(tree)
+        )
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    helpers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ("_load", "_write")]
+    assert opens(tree) == sum(opens(f) for f in helpers)

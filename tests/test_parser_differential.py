@@ -218,6 +218,10 @@ def test_scenario_parser_matches_the_cursor_oracle():
         # errors show which order they follow
         u = WorldUniverse(tuple(rng.sample("abcdefgh", rng.randint(1, 6))))
         corpus.append(f"worlds {' '.join(u.worlds)}\nsource s rank 1\n  layers {layers_variant(rng, u)}\n")
+    # keyword variables, and each universe declaration at and over its cap
+    corpus += ["vars true F\n", "vars F false # c\n", "vars F F true\n"]
+    for keyword, cap in (("vars", MAX_VARS), ("worlds", 2**MAX_VARS)):
+        corpus += [f"{keyword} " + " ".join(f"W{j}" for j in range(count)) + "\n" for count in (cap, cap + 1)]
     kinds = collections.Counter()
     reasons = []
     for text in corpus:

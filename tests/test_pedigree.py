@@ -26,7 +26,7 @@ from belieffusion import (
     union_profile,
     universe,
 )
-from helpers import random_profile, random_state, small_universe
+from helpers import random_agents, random_profile, random_state, small_universe
 
 U3 = universe("a", "b", "c")
 U2 = universe("a", "b")
@@ -205,6 +205,15 @@ def test_equal_rank_shortcut_matches_pedigree_fusion():
         via_pedigrees = induced_state(fuse([a.pedigree() for a in agents], u))
         via_states = fuse_equal_rank([a.induced() for a in agents])
         assert via_pedigrees == via_states
+
+
+def test_agent_induced_is_the_induced_state_of_its_pedigree():
+    rng = random.Random(13)
+    for n in range(1, 7):
+        u = small_universe(n)
+        for _ in range(40):
+            for agent in random_agents(rng, u, 3):
+                assert agent.induced() == induced_state(agent.pedigree())
 
 
 def test_redundant_closure_lemma():

@@ -162,6 +162,16 @@ def test_decimal_digits_of_any_script_are_ranks():
     assert pbs.entries == (("a", "b", 1),)
 
 
+@pytest.mark.parametrize("line, name", [("vars true F", "true"), ("vars F false", "false")])
+def test_keyword_variables_are_positioned_errors(line, name):
+    # no formula can name them: parse_formula reads them as constants
+    with pytest.raises(ParseError) as exc:
+        parse_scenario("# header\n" + line + "\n")
+    assert (exc.value.line, exc.value.column, exc.value.reason, exc.value.token) == (
+        2, len(line) + 1, f"invalid variable name {name!r}", ""
+    )
+
+
 def test_parse_error_position_is_exact():
     with pytest.raises(ParseError) as exc:
         parse_scenario("worlds a b\nsource s rank 1\n  pairs a < zz\n")
@@ -273,6 +283,17 @@ def test_export_dot_layered():
     )
 
 
+def test_export_dot_escapes_quotes_and_backslashes_in_labels():
+    s = parse_scenario('worlds a"b c\\d e\nsource s rank 1\n  layers [a"b c\\d] > [e]\n')
+    assert export_dot(to_layers(s.source("s").state)) == (
+        "digraph belief_state {\n"
+        '  n0 [label="a\\"b,c\\\\d"];\n'
+        '  n1 [label="e"];\n'
+        "  n0 -> n1;\n"
+        "}\n"
+    )
+
+
 def test_export_dot_pedigree_labels_edges():
     u = universe("a", "b", "c")
     pbs = PedigreedBeliefState(u, (("a", "b", 2), ("c", "b", 1)))
@@ -376,3 +397,21 @@ def test_vars_cap_is_a_positioned_error_before_the_universe_is_built(monkeypatch
     # at the cap, the line reaches generate_universe
     with pytest.raises(AssertionError, match=f"with {scenario.MAX_VARS} variables"):
         parse_scenario("vars " + " ".join(names[:-1]) + "\n")
+
+
+def test_worlds_cap_is_a_positioned_error_before_the_universe_is_built(monkeypatch):
+    def refuse(worlds):
+        raise AssertionError(f"WorldUniverse called with {len(worlds)} worlds")
+
+    monkeypatch.setattr(scenario, "WorldUniverse", refuse)
+    cap = 2**scenario.MAX_VARS
+    names = [f"w{i}" for i in range(cap + 1)]
+    line = "worlds " + " ".join(names)
+    with pytest.raises(ParseError) as exc:
+        parse_scenario("# header\n" + line + "\n")
+    assert (exc.value.line, exc.value.token) == (2, names[-1])
+    assert exc.value.column == line.index(" " + names[-1]) + 2
+    assert exc.value.reason == f"worlds declares {cap + 1} worlds; at most {cap} are allowed"
+    # at the cap, the line reaches WorldUniverse
+    with pytest.raises(AssertionError, match=f"with {cap} worlds"):
+        parse_scenario("worlds " + " ".join(names[:-1]) + "\n")
