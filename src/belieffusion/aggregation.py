@@ -86,13 +86,6 @@ class Profile:
         """Ranks represented in the profile, ascending."""
         return tuple(sorted({s.rank for s in self.sources}))
 
-    def subset(self, ids: list[str]) -> "Profile":
-        by_id = {s.id: s for s in self.sources}
-        missing = [i for i in ids if i not in by_id]
-        if missing:
-            raise KeyError(f"unknown source id(s): {', '.join(missing)}")
-        return Profile(self.universe, tuple(by_id[i] for i in ids))
-
 
 def un(p: Profile) -> Relation:
     """Union of all source opinions; modular but not always transitive."""

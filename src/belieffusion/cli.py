@@ -99,11 +99,14 @@ def _pick_sources(scenario: Scenario, spec: str) -> Profile:
     if spec == "all":
         return scenario.profile
     # a repeated id counts once, as in _pick_agents, where fusion is idempotent
-    return _find(scenario.profile.subset, list(dict.fromkeys(spec.split(","))))
+    ids = dict.fromkeys(spec.split(","))
+    return Profile(scenario.universe, tuple(_find(scenario.source, s) for s in ids))
 
 
 def _pick_agents(scenario: Scenario, spec: str):
     if spec == "all":
+        if not scenario.agents:
+            _fail(2, "scenario declares no agents")
         return list(scenario.agents)
     return [_find(scenario.agent, a) for a in spec.split(",")]
 
@@ -161,8 +164,6 @@ def fuse_cmd(scenario_path: str, agents_spec: str, out_path: str | None) -> None
     """Fuse the pedigreed belief states of the chosen agents."""
     scenario = _load(scenario_path)
     agents = _pick_agents(scenario, agents_spec)
-    if not agents:
-        _fail(2, "no agents selected")
     fused = fuse([a.pedigree() for a in agents], scenario.universe)
     payload = serialize_pedigree(fused)
     if out_path is not None:
@@ -189,17 +190,12 @@ def query(scenario_path: str, agent_id: str | None, sources_spec: str | None, if
     else:
         state = agr(_pick_sources(scenario, sources_spec))
     try:
-        p = parse_formula(if_text)
-        q = parse_formula(then_text)
-    except FormulaSyntaxError as e:
+        status = evaluate_conditional(state, parse_formula(if_text), parse_formula(then_text), scenario.prop)
+    except (FormulaSyntaxError, UndeclaredVariableError) as e:
         _fail(2, f"formula: {e}")
-    try:
-        status = evaluate_conditional(state, p, q, scenario.prop)
     except VacuousConditionError:
         click.echo("VACUOUS")
         sys.exit(1)
-    except UndeclaredVariableError as e:
-        _fail(2, f"formula: {e}")
     table = (("BEL", status.bel), ("DISBEL", status.disbel), ("AGN", status.agn), ("CON", status.con))
     click.echo(_flags(" ", table))
     chosen = sorted(status.choice, key=scenario.universe.index)
@@ -236,12 +232,11 @@ def _parse_topology(spec: str) -> Topology:
 def simulate(scenario_path: str, topology_spec: str, seed: int, rounds: int, dup: float, drop: float) -> None:
     """Run the deterministic fusion simulation over the scenario's agents."""
     scenario = _load(scenario_path)
-    if not scenario.agents:
-        _fail(2, "scenario declares no agents")
+    agents = _pick_agents(scenario, "all")
     try:
         topology = _parse_topology(topology_spec)
         report = run_simulation(
-            list(scenario.agents),
+            agents,
             topology,
             SimConfig(seed=seed, max_rounds=rounds, duplication_prob=dup, drop_prob=drop),
         )
@@ -275,11 +270,7 @@ def export_dot_cmd(scenario_path: str, source_id: str | None, agent_id: str | No
     elif agent_id is not None:
         payload = export_dot(_find(scenario.agent, agent_id).pedigree())
     else:
-        if not scenario.agents:
-            _fail(2, "scenario declares no agents")
-        payload = export_dot(
-            fuse([a.pedigree() for a in scenario.agents], scenario.universe)
-        )
+        payload = export_dot(fuse([a.pedigree() for a in _pick_agents(scenario, "all")], scenario.universe))
     if out_path is None:
         click.echo(payload, nl=False)
     else:

@@ -78,16 +78,19 @@ class Scenario:
     agents: tuple[Agent, ...]
 
     def source(self, source_id: str) -> Source:
-        for s in self.profile.sources:
-            if s.id == source_id:
-                return s
-        raise KeyError(f"unknown source id {source_id!r}")
+        return _by_id(self.profile.sources, source_id, "source")
 
     def agent(self, agent_id: str) -> Agent:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(f"unknown agent id {agent_id!r}")
+        return _by_id(self.agents, agent_id, "agent")
+
+
+def _by_id(items, key: str, noun: str):
+    """The item of ``items`` whose ``id`` is ``key``, or a KeyError that
+    names the unknown id."""
+    for item in items:
+        if item.id == key:
+            return item
+    raise KeyError(f"unknown {noun} id {key!r}")
 
 
 def _line_tokens(text: str) -> list[str]:
@@ -169,6 +172,15 @@ class _SourceDraft:
 
 
 def parse_scenario(text: str) -> Scenario:
+    """Read a scenario text; a malformed line raises a positioned ParseError.
+
+    The reader checks the syntax; the library checks its own rules (unique
+    world names, variable names, a free alias name, a layers partition).
+    A ``ValueError`` from one of those rules is translated in one place,
+    into a ParseError at the end of the line with an empty token. An
+    invalid ``pairs`` source raises NotModularError or NotTransitiveError
+    after the whole text is read.
+    """
     universe: WorldUniverse | None = None
     prop: PropUniverse | None = None
     drafts: dict[str, _SourceDraft] = {}
@@ -218,15 +230,9 @@ def parse_scenario(text: str) -> Scenario:
                         t[1 + cap],
                     )
                 if keyword == "worlds":
-                    try:
-                        universe = WorldUniverse(tuple(names))
-                    except ValueError as e:
-                        raise _TokenError(n, str(e))
+                    universe = WorldUniverse(tuple(names))
                 else:
-                    try:
-                        prop = generate_universe(tuple(names))
-                    except ValueError as e:
-                        raise _TokenError(n, str(e))
+                    prop = generate_universe(tuple(names))
                     universe = prop.universe
 
             elif keyword == "world":
@@ -240,10 +246,7 @@ def parse_scenario(text: str) -> Scenario:
                 canonical = canonical_world_name(prop.variables, values)
                 if canonical not in prop.universe:
                     raise _TokenError(n, "alias target already renamed")
-                try:
-                    prop = prop.rename_world(canonical, alias)
-                except ValueError as e:
-                    raise _TokenError(n, str(e), alias)
+                prop = prop.rename_world(canonical, alias)
                 universe = prop.universe
 
             elif keyword == "source":
@@ -281,6 +284,9 @@ def parse_scenario(text: str) -> Scenario:
                 raise _TokenError(1, f"unknown declaration {keyword!r}", keyword)
         except _TokenError as e:
             raise e.at_line(lineno, raw) from None
+        except ValueError as e:
+            # a rule the library enforces, reported at the end of the line
+            raise _TokenError(len(t), str(e)).at_line(lineno, raw) from None
 
     if universe is None:
         raise ParseError(1, 1, "scenario declares no universe")
@@ -364,11 +370,7 @@ def _read_layers(t: list[str], u: WorldUniverse) -> list[int]:
             i += 1
             continue
         _done(t, i)
-        break
-    try:
         return _layer_rows(u, blocks)
-    except ValueError as e:
-        raise _TokenError(n, str(e)) from None
 
 
 def format_layers(layered: LayeredForm) -> str:

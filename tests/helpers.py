@@ -530,7 +530,7 @@ def parse_scenario_oracle(text: str) -> Scenario:
             try:
                 prop = prop.rename_world(canonical, alias)
             except ValueError as e:
-                raise lp.error(str(e), alias)
+                raise lp.error(str(e))
             universe = prop.universe
             continue
 

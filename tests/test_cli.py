@@ -523,7 +523,7 @@ def test_aggregate_intransitive_refinement_prints_no_layers(runner, scenario_fil
 @pytest.mark.parametrize(
     "args, stderr",
     [
-        (["fuse"], "no agents selected\n"),
+        (["fuse"], "scenario declares no agents\n"),
         (["simulate"], "scenario declares no agents\n"),
         (["export-dot", "--fused"], "scenario declares no agents\n"),
     ],
@@ -539,13 +539,27 @@ def test_commands_without_agents(runner, scenario_file, args, stderr):
         (["--agent", "A", "--sources", "all"], "exactly one of --agent or --sources is required\n"),
         ([], "exactly one of --agent or --sources is required\n"),
         (["--agent", "zz"], "unknown agent id 'zz'\n"),
-        (["--sources", "st,zz"], "unknown source id(s): zz\n"),
+        (["--sources", "st,zz"], "unknown source id 'zz'\n"),
     ],
 )
 def test_query_selector_errors(runner, scenario_file, selector, stderr):
     result = runner.invoke(
         main, ["query", scenario_file(ROBOT), *selector, "--if", "true", "--then", "D"]
     )
+    assert outcome(result) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("command", [["aggregate"], ["query", "--if", "true", "--then", "D"]])
+@pytest.mark.parametrize(
+    "sources, stderr",
+    [
+        (["--sources", ","], "unknown source id ''\n"),
+        (["--sources="], "unknown source id ''\n"),
+        (["--sources", "zz,yy"], "unknown source id 'zz'\n"),
+    ],
+)
+def test_unknown_sources_name_the_first_unknown_id(runner, scenario_file, command, sources, stderr):
+    result = runner.invoke(main, [command[0], scenario_file(ROBOT), *sources, *command[1:]])
     assert outcome(result) == (2, "", stderr)
 
 
@@ -590,7 +604,7 @@ def test_export_dot_agent(runner, scenario_file):
     [
         (["export-dot", "--agent", "zz"], "unknown agent id 'zz'\n"),
         (["export-dot", "--source", "zz"], "unknown source id 'zz'\n"),
-        (["aggregate", "--sources", "s0,zz"], "unknown source id(s): zz\n"),
+        (["aggregate", "--sources", "s0,zz"], "unknown source id 'zz'\n"),
         (["fuse", "--agents", "A1p,zz"], "unknown agent id 'zz'\n"),
     ],
 )

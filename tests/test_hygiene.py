@@ -1,7 +1,8 @@
 """Static checks on the package source: nothing it imports goes unused,
 no private module-level name is left that nothing reads, the CLI opens
-files only in its two I/O helpers, and README's module table lists
-exactly the package's modules."""
+files only in its two I/O helpers, the scenario reader translates library
+errors in one place, and README's module table lists exactly the
+package's modules."""
 
 import ast
 import pathlib
@@ -104,3 +105,18 @@ def test_cli_opens_files_only_in_load_and_write():
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     helpers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ("_load", "_write")]
     assert opens(tree) == sum(opens(f) for f in helpers)
+
+
+def test_scenario_reader_translates_library_errors_once():
+    """A ``ValueError`` from a library rule becomes a ParseError in the one
+    handler of ``parse_scenario``'s line loop, and nowhere else."""
+
+    def handlers(tree: ast.AST) -> int:
+        return sum(
+            isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Name) and node.type.id == "ValueError"
+            for node in ast.walk(tree)
+        )
+
+    tree = ast.parse((PACKAGE / "scenario.py").read_text())
+    (reader,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "parse_scenario"]
+    assert handlers(tree) == handlers(reader) == 1

@@ -222,6 +222,8 @@ def test_scenario_parser_matches_the_cursor_oracle():
     corpus += ["vars true F\n", "vars F false # c\n", "vars F F true\n"]
     for keyword, cap in (("vars", MAX_VARS), ("worlds", 2**MAX_VARS)):
         corpus += [f"{keyword} " + " ".join(f"W{j}" for j in range(count)) + "\n" for count in (cap, cap + 1)]
+    # an alias to another world's name, and to the world's own name
+    corpus += ["vars F D\nworld F.!D = F D\n", "vars F D\nworld F.!D = F D # c\t\n", "vars F D\nworld F.D = F D\n"]
     kinds = collections.Counter()
     reasons = []
     for text in corpus:

@@ -101,7 +101,27 @@ def test_alias_to_another_worlds_name_is_in_use():
         parse_scenario("vars F D\nworld F.!D = F D\n")
     assert (exc.value.line, exc.value.column) == (2, 17)
     assert exc.value.reason == "world name 'F.!D' already in use"
-    assert exc.value.token == "F.!D"
+    assert exc.value.token == ""
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("worlds a b a\n", "world identifiers must be unique"),
+        ("vars F 1x # comment\n", "invalid variable name '1x'"),
+        ("vars F D\nworld F.!D = F D\n", "world name 'F.!D' already in use"),
+        ("worlds a b\nsource s rank 1\n  layers [a] > [a b]\n", "world(s) in more than one layer: a"),
+        ("worlds a b c\nsource s rank 1\n  layers [a] > [b]\n", "layers must cover every world; missing c"),
+    ],
+)
+def test_library_rules_are_end_of_line_errors(text, reason):
+    # the reader translates each rule the library enforces the same way
+    lines = text.splitlines()
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(text)
+    assert (exc.value.line, exc.value.column, exc.value.reason, exc.value.token) == (
+        len(lines), len(lines[-1]) + 1, reason, ""
+    )
 
 
 @pytest.mark.parametrize(
