@@ -15,7 +15,7 @@ import click
 from .aggregation import Profile, agr, agr_rf, agr_star, agr_un, un
 from .formulas import FormulaSyntaxError, UndeclaredVariableError, parse_formula
 from .pedigree import PedigreedBeliefState, fuse, induced_state
-from .relations import Relation, transitivity_witness
+from .relations import Relation
 from .scenario import (
     ParseError,
     Scenario,
@@ -127,7 +127,7 @@ def validate(scenario_path: str) -> None:
     """Validate a scenario and report each source's relation classes."""
     scenario = _load(scenario_path)
     for src in scenario.profile.sources:
-        flags = classify_class(src.state.relation)
+        flags = classify_class(src.state)
         table = (
             ("B", flags.in_b), ("T", flags.in_t), ("T<", flags.in_t_strict),
             ("Q", flags.in_q), ("Q<", flags.in_q_strict),
@@ -147,13 +147,12 @@ def aggregate(scenario_path: str, op_name: str, sources_spec: str) -> None:
     scenario = _load(scenario_path)
     profile = _pick_sources(scenario, sources_spec)
     result = _OPS[op_name](profile)
-    is_state = isinstance(result, BeliefState)
-    r = result.relation if is_state else result
-    _echo_lines(_pair_lines(r))
-    # Every operator returns a modular relation, so a relation is a belief
-    # state exactly when it is transitive.
-    if is_state or transitivity_witness(r) is None:
-        click.echo(f"layers: {format_layers(to_layers(BeliefState(r)))}")
+    state = result if isinstance(result, BeliefState) else BeliefState(result)
+    _echo_lines(_pair_lines(state.relation))
+    # un and agrrf may return a relation that is not a belief state; it has
+    # no layers to print.
+    if state.blocks is not None:
+        click.echo(f"layers: {format_layers(to_layers(state))}")
 
 
 @main.command(name="fuse")

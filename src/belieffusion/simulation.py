@@ -116,12 +116,13 @@ class Topology:
             return [(agent_ids[i], agent_ids[(i + 1) % n]) for i in range(n)]
         if self.kind == "star":
             if self.center not in known:
-                raise TopologyError(f"unknown center agent {self.center!r}")
+                raise TopologyError(f"unknown agent id {self.center!r}")
             return [(self.center, a) for a in agent_ids if a != self.center]
         if self.kind == "explicit":
             for a, b in self.edges:
-                if a not in known or b not in known:
-                    raise TopologyError(f"unknown agent in edge ({a!r}, {b!r})")
+                for end in (a, b):
+                    if end not in known:
+                        raise TopologyError(f"unknown agent id {end!r}")
                 if a == b:
                     raise TopologyError(f"self-loop edge on {a!r}")
             return list(self.edges)

@@ -12,9 +12,10 @@ fully connected (conflicted) or fully disconnected (agnostic).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .bitset import bits, lowest
+from .bitset import bits
 from .formulas import Formula, PropUniverse, models_mask
 from .relations import (
     Relation,
@@ -54,23 +55,62 @@ class VacuousConditionError(ValueError):
 
 @dataclass(frozen=True)
 class BeliefState:
-    """A validated modular, transitive relation."""
+    """A modular, transitive relation.
+
+    ``from_relation`` validates; ``BeliefState(r)`` trusts the caller.
+    Either way, every question about the state is answered from
+    ``blocks``, its layered form, computed once on first use.
+    """
 
     relation: Relation
 
     @classmethod
     def from_relation(cls, r: Relation, subject: str | None = None) -> "BeliefState":
-        w = modularity_witness(r)
-        if w is not None:
-            raise NotModularError(w, subject)
-        w = transitivity_witness(r)
-        if w is not None:
-            raise NotTransitiveError(w, subject)
-        return cls(r)
+        state = cls(r)
+        _certified(state, subject)
+        return state
 
     @property
     def universe(self) -> WorldUniverse:
         return self.relation.universe
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, bool], ...] | None:
+        """The layered form as (mask, connected) pairs, most likely first,
+        or None when the relation is not modular and transitive.
+
+        In a layered state a world's row is the later blocks, plus its own
+        block when that block is connected. So the worlds that share a
+        row and a self-loop bit are one block, and rows shrink strictly
+        from block to block, except that a disconnected block directly
+        followed by a connected one has the same row: the block without
+        the loop comes first. Rebuilding the rows of that order and
+        comparing them with the relation's rows decides membership, since
+        every relation with layered rows is modular and transitive.
+        """
+        rows = self.relation.rows
+        classes: dict[tuple[int, int], int] = {}
+        for x, row in enumerate(rows):
+            key = (row, row >> x & 1)
+            classes[key] = classes.get(key, 0) | 1 << x
+        order = sorted(classes, key=lambda key: (-key[0].bit_count(), key[1]))
+        blocks = tuple((classes[key], bool(key[1])) for key in order)
+        if tuple(_layer_rows(self.universe, blocks)) != rows:
+            return None
+        return blocks
+
+
+def _certified(b: BeliefState, subject: str | None = None) -> tuple[tuple[int, bool], ...]:
+    """The blocks of ``b``; a relation that is not a belief state raises
+    the error naming its first modularity, else transitivity, witness."""
+    blocks = b.blocks
+    if blocks is None:
+        r = b.relation
+        w = modularity_witness(r)
+        if w is not None:
+            raise NotModularError(w, subject)
+        raise NotTransitiveError(transitivity_witness(r), subject)
+    return blocks
 
 
 def from_relation(r: Relation, subject: str | None = None) -> BeliefState:
@@ -110,27 +150,13 @@ class LayeredForm:
 
 
 def to_layers(b: BeliefState) -> LayeredForm:
-    """Decompose a belief state into its layered normal form.
-
-    Blocks are the classes of "x and y look the same from every world":
-    x == y iff they share both their row and their column mask. The class
-    containing the most likely worlds comes first. The decomposition is
-    unique and round-trips through from_layers.
+    """The layered normal form of a belief state: its ``blocks`` as
+    world-name sets. The decomposition is unique and round-trips through
+    from_layers. A wrapped relation that is not a belief state raises the
+    witness error ``from_relation`` would raise.
     """
-    r = b.relation
-    u = r.universe
-    classes: dict[tuple[int, int], int] = {}
-    for x, signature in enumerate(zip(r.rows, r.cols)):
-        classes[signature] = classes.get(signature, 0) | 1 << x
-
-    # Block order is forced: distinct classes are strictly comparable, so
-    # the other-class worlds more likely than a class's first world are
-    # exactly the earlier blocks, and their count increases strictly.
-    members = sorted(classes.values(), key=lambda m: (r.cols[lowest(m)] & ~m).bit_count())
-    blocks = tuple(
-        Block(frozenset(u.names(m)), r.rows[lowest(m)] & m == m) for m in members
-    )
-    return LayeredForm(u, blocks)
+    u = b.universe
+    return LayeredForm(u, tuple(Block(frozenset(u.names(m)), c) for m, c in _certified(b)))
 
 
 def from_layers(layered: LayeredForm) -> BeliefState:
@@ -195,7 +221,21 @@ class ClassFlags:
     in_q_strict: bool
 
 
-def classify_class(r: Relation) -> ClassFlags:
+def classify_class(b: BeliefState | Relation) -> ClassFlags:
+    """The class flags of a relation, or of a belief state's relation.
+
+    A belief state whose ``blocks`` certify it is in B, and its flags
+    follow from its diagonal: x < x holds exactly when x's block is
+    connected, and every pair across blocks is related. So it is total,
+    hence in T and Q, exactly when every block is connected, and
+    asymmetric, hence in T< and Q<, exactly when none is. Any other
+    input is judged from its property flags.
+    """
+    if isinstance(b, BeliefState) and b.blocks is not None:
+        connected = [c for _, c in b.blocks]
+        total, asymmetric = all(connected), not any(connected)
+        return ClassFlags(True, total, asymmetric, total, asymmetric)
+    r = b.relation if isinstance(b, BeliefState) else b
     flags = classify_properties(r)
     in_b = flags.modular and flags.transitive
     return ClassFlags(
@@ -227,20 +267,33 @@ class ConditionalStatus:
 def evaluate_conditional(
     b: BeliefState, p: Formula, q: Formula, pu: PropUniverse
 ) -> ConditionalStatus:
+    """Answer "if p, then q?" against ``b``.
+
+    The choice set of a certified state is the p-worlds of the first block
+    that has any, and it is as connected as that block. A ``BeliefState``
+    wrapping any other relation is answered from its rows: the p-worlds
+    no p-world strictly dominates, connected or disconnected pair by pair.
+    """
     if pu.universe != b.universe:
         raise ValueError("belief state and universe do not match")
     p_mask = models_mask(pu, p)
     if not p_mask:
         raise VacuousConditionError("condition has no satisfying world")
     q_mask = models_mask(pu, q)
-    rows = b.relation.rows
-    chosen = choice_mask(b.relation, p_mask)
-    inside = [rows[x] & chosen for x in bits(chosen)]
+    if b.blocks is not None:
+        chosen, con = next((m & p_mask, c) for m, c in b.blocks if m & p_mask)
+        disconnected = not con
+    else:
+        rows = b.relation.rows
+        chosen = choice_mask(b.relation, p_mask)
+        inside = [rows[x] & chosen for x in bits(chosen)]
+        disconnected = not any(inside)
+        con = all(m == chosen for m in inside)
     hits = chosen & q_mask
     return ConditionalStatus(
         bel=hits == chosen,
         disbel=not hits,
-        agn=not any(inside) and bool(hits) and hits != chosen,
-        con=all(m == chosen for m in inside),
+        agn=disconnected and bool(hits) and hits != chosen,
+        con=con,
         choice=frozenset(b.universe.names(chosen)),
     )

@@ -198,6 +198,26 @@ def layered_pairs(blocks) -> frozenset:
     return frozenset(out)
 
 
+def all_belief_states(u: WorldUniverse):
+    """Every layered form over ``u``: every ordered partition of its worlds
+    into blocks, with every choice of connected flags (2, 10, 74, 730 and
+    9,002 of them over 1-5 worlds)."""
+
+    def ordered_partitions(ws):
+        if not ws:
+            yield ()
+            return
+        for k in range(1, len(ws) + 1):
+            for first in itertools.combinations(ws, k):
+                rest = [w for w in ws if w not in first]
+                for tail in ordered_partitions(rest):
+                    yield (frozenset(first), *tail)
+
+    for blocks in ordered_partitions(list(u.worlds)):
+        for flags in itertools.product((False, True), repeat=len(blocks)):
+            yield LayeredForm(u, tuple(map(Block, blocks, flags)))
+
+
 def choice_oracle(r: Relation, xs: frozenset) -> frozenset:
     def strictly_under(a, b):
         return r.has(a, b) and not r.has(b, a)

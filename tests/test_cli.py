@@ -606,6 +606,8 @@ def test_export_dot_agent(runner, scenario_file):
         (["export-dot", "--source", "zz"], "unknown source id 'zz'\n"),
         (["aggregate", "--sources", "s0,zz"], "unknown source id 'zz'\n"),
         (["fuse", "--agents", "A1p,zz"], "unknown agent id 'zz'\n"),
+        (["simulate", "--topology", "star:zz"], "unknown agent id 'zz'\n"),
+        (["simulate", "--topology", "edges:A1p-zz,yy-A1p"], "unknown agent id 'zz'\n"),
     ],
 )
 def test_unknown_ids_are_usage_errors(runner, scenario_file, args, stderr):

@@ -74,9 +74,9 @@ def test_topologies():
     assert Topology.ring().edge_list(["A"]) == []
     assert Topology.star("B").edge_list(ids) == [("B", "A"), ("B", "C"), ("B", "D")]
     assert Topology.explicit([("A", "C")]).edge_list(ids) == [("A", "C")]
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match="^unknown agent id 'Z'$"):
         Topology.star("Z").edge_list(ids)
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError, match="^unknown agent id 'Z'$"):
         Topology.explicit([("A", "Z")]).edge_list(ids)
     with pytest.raises(TopologyError):
         Topology.explicit([("A", "A")]).edge_list(ids)

@@ -6,6 +6,8 @@ import pytest
 
 from belieffusion import (
     BeliefState,
+    PropUniverse,
+    Relation,
     UndeclaredVariableError,
     Block,
     LayeredForm,
@@ -32,18 +34,23 @@ from belieffusion import (
 )
 from helpers import (
     aliased_prop_universe,
+    all_belief_states,
     all_relations,
     conditional_oracle,
     models_oracle,
     random_formula,
     first_modularity_witness,
     first_transitivity_witness,
+    layered_pairs,
+    modular_oracle,
+    nonempty_subsets,
     properties_oracle,
     q_strict_oracle,
     random_layered,
     random_state,
     random_strict_order,
     small_universe,
+    transitive_oracle,
 )
 
 U3 = universe("a", "b", "c")
@@ -229,6 +236,89 @@ def test_layer_round_trip_randomized():
         b = from_layers(layered)
         assert to_layers(b) == layered
         assert from_layers(to_layers(b)) == b
+
+
+def test_blocks_certify_exactly_the_modular_transitive_relations():
+    # every relation over 1-3 worlds against the triple-loop oracles; over
+    # 4 worlds, against the relations of the 730 enumerated layered forms
+    for n in (1, 2, 3):
+        u = small_universe(n)
+        for r in all_relations(u):
+            member = modular_oracle(r) and transitive_oracle(r)
+            assert (BeliefState(r).blocks is not None) == member, r.pairs
+    u = small_universe(4)
+    layered = {from_layers(lf).relation.rows for lf in all_belief_states(u)}
+    certified = set()
+    for cells in range(1 << 16):
+        rows = tuple(cells >> 4 * x & 15 for x in range(4))
+        if BeliefState(Relation(u, rows)).blocks is not None:
+            certified.add(rows)
+    assert certified == layered and len(layered) == 730
+
+
+def test_blocks_are_the_layers_of_every_small_state():
+    # the relation comes from the pair-set oracle, not from _layer_rows
+    counts = {}
+    for n in range(1, 6):
+        u = small_universe(n)
+        counts[n] = 0
+        for lf in all_belief_states(u):
+            blocks = [(b.worlds, b.connected) for b in lf.blocks]
+            b = BeliefState(relation(u, layered_pairs(blocks)))
+            assert b.blocks == tuple((u.mask(w), c) for w, c in blocks)
+            assert to_layers(b) == lf
+            counts[n] += 1
+    assert counts == {1: 2, 2: 10, 3: 74, 4: 730, 5: 9002}
+
+
+def test_class_flags_of_a_state_read_from_its_blocks():
+    for n in range(1, 6):
+        u = small_universe(n)
+        for lf in all_belief_states(u):
+            b = from_layers(lf)
+            flags = classify_class(b)
+            assert flags == classify_class(b.relation)
+            if n <= 4:
+                o = properties_oracle(b.relation)
+                assert dataclasses.astuple(flags) == (
+                    o["modular"] and o["transitive"],
+                    o["total"] and o["transitive"],
+                    o["modular"] and o["transitive"] and o["irreflexive"],
+                    o["total"] and o["quasi_transitive"],
+                    o["asymmetric"] and o["transitive"],
+                )
+
+
+def test_conditional_read_from_blocks_matches_oracle_on_every_subset():
+    # One variable per world, true there alone, so that a disjunction of
+    # variables selects any set of worlds. q matters only through its
+    # meet with the choice set, so no q-worlds, each single world and
+    # every world cover the homogeneous and the mixed cases.
+    for n in range(1, 5):
+        u = small_universe(n)
+        names = [w.upper() for w in u.worlds]
+        pu = PropUniverse(tuple(names), u, tuple((w, tuple(i == j for j in range(n))) for i, w in enumerate(u.worlds)))
+
+        subsets = [frozenset(), *nonempty_subsets(u.worlds)]
+        formula = {ws: parse_formula(" | ".join(names[u.index(w)] for w in ws) or "false") for ws in subsets}
+        q_sets = [ws for ws in subsets if len(ws) <= 1] + [subsets[-1]]
+        for lf in all_belief_states(u):
+            b = from_layers(lf)
+            for p_worlds in subsets[1:]:
+                for q_worlds in q_sets:
+                    status = evaluate_conditional(b, formula[p_worlds], formula[q_worlds], pu)
+                    got = (status.bel, status.disbel, status.agn, status.con, status.choice)
+                    assert got == conditional_oracle(b.relation, p_worlds, q_worlds)
+
+
+def test_to_layers_of_an_invalid_state_raises_the_witness_error():
+    with pytest.raises(NotModularError) as exc:
+        to_layers(BeliefState(pairs_over(U3, ("a", "b"))))
+    assert exc.value.witness == ("a", "b", "c")
+    r = pairs_over(U3, ("a", "b"), ("b", "a"), ("a", "c"), ("b", "c"))
+    with pytest.raises(NotTransitiveError) as exc:
+        to_layers(BeliefState(r))
+    assert exc.value.witness == first_transitivity_witness(r)
 
 
 def test_classify_class_examples():

@@ -16,8 +16,11 @@ the scenario reader enforces. Every scenario that loads gets every
 command: ``validate``, each ``aggregate`` operator, the ``--sources``
 selector with good, repeated, unknown and empty ids, ``fuse``, ``query``
 with good and bad formulas and selectors, ``simulate`` on four
-topologies, and ``export-dot`` with each selector. A scenario that fails
-to load gets each command once.
+topologies and with an unknown agent in ``star:`` and ``edges:``, and
+``export-dot`` with each selector. A scenario that fails to load gets
+each command once. Two 1024-world scenarios, one of large layered blocks
+and one of shuffled total orders, get only ``validate``, ``aggregate
+--op agr`` and ``query --agent``.
 
 The script prints identical and differing counts per command and the
 first differing line of each stream of each difference. It exits 1 if a
@@ -32,8 +35,10 @@ from __future__ import annotations
 import argparse
 import collections
 import concurrent.futures
+import itertools
 import os
 import pathlib
+import random
 import re
 import shlex
 import subprocess
@@ -120,6 +125,70 @@ def _generated() -> dict[str, bytes]:
     return {name: text.encode() for name, text in files.items()}
 
 
+def _valuation_worlds(k: int) -> tuple[str, list[str], list[dict[str, bool]]]:
+    """The ``vars`` line of k variables, its world names in declaration
+    order, and each world's valuation."""
+    names = "ABCDEFGHIJKL"[:k]
+    values = list(itertools.product((True, False), repeat=k))
+    worlds = [".".join(v if b else "!" + v for v, b in zip(names, bits)) for bits in values]
+    return "vars " + " ".join(names), worlds, [dict(zip(names, bits)) for bits in values]
+
+
+def _layers(blocks: list[tuple[list[str], bool]]) -> str:
+    return "  layers " + " > ".join(f"[{' '.join(ws)}]" + ("*" if c else "") for ws, c in blocks)
+
+
+def _twin_rich(k: int) -> bytes:
+    """Layered sources with large blocks of twin worlds, and one ``pairs``
+    source: s0 ranks the A-worlds above the rest; s1 ranks the all-false
+    world first, then the B-worlds, conflicted, then the rest; p0 puts the
+    all-false world below every other; s2 ranks the C-worlds above the rest."""
+    header, worlds, vals = _valuation_worlds(k)
+    w0 = worlds[-1]
+
+    def split(var: str) -> list[tuple[list[str], bool]]:
+        return [([w for w, v in zip(worlds, vals) if v[var] == side], False) for side in (True, False)]
+
+    s1 = [([w0], False), ([w for w, v in zip(worlds, vals) if v["B"]], True)]
+    s1.append(([w for w, v in zip(worlds, vals) if not v["B"] and w != w0], False))
+    lines = [
+        header,
+        "source s0 rank 2", _layers(split("A")),
+        "source s1 rank 1", _layers(s1),
+        "source p0 rank 1", "  pairs " + ", ".join(f"{w0} < {w}" for w in worlds if w != w0),
+        "source s2 rank 1", _layers(split("C")),
+        "agent a0 = s0 s1 p0", "agent a1 = s1 p0 s2", "agent a2 = s2",
+    ]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _total_orders(k: int) -> bytes:
+    """Two sources at one rank, each a strict total order of the worlds
+    (shuffled), and one agent over both."""
+    header, worlds, _ = _valuation_worlds(k)
+    rng = random.Random(0)
+    lines = [header]
+    for name in ("t0", "t1"):
+        rng.shuffle(worlds)
+        lines += [f"source {name} rank 1", _layers([([w], False) for w in worlds])]
+    lines.append("agent a0 = t0 t1")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _large() -> tuple[dict[str, bytes], list[Invocation]]:
+    """The 1024-world shapes, each with the commands that validate,
+    aggregate and query it; every command costs seconds here, so no more."""
+    files = {"twin-k10.scn": _twin_rich(10), "total-k10.scn": _total_orders(10)}
+    invocations = []
+    for name, agent in (("twin-k10.scn", "a1"), ("total-k10.scn", "a0")):
+        invocations += [
+            Invocation("validate", name),
+            Invocation("aggregate", name, ("--op", "agr")),
+            Invocation("query", name, ("--agent", agent, "--if", "!A | C", "--then", "B -> D")),
+        ]
+    return files, invocations
+
+
 def _declared(text: bytes, keyword: str) -> list[str]:
     """The second token of each line that starts with ``keyword``."""
     return [line.split()[1] for line in text.decode().splitlines() if line.split()[:1] == [keyword]]
@@ -159,6 +228,7 @@ def _full(name: str, text: bytes) -> list[Invocation]:
     calls += [("simulate",), ("simulate", "--topology", "ring", "--dup", "0.3"), ("simulate", "--topology", "bogus")]
     if agents:
         calls += [("simulate", "--topology", f"star:{agents[0]}"), ("export-dot", "--agent", agents[0])]
+        calls += [("simulate", "--topology", "star:zz"), ("simulate", "--topology", f"edges:{agents[0]}-zz")]
     calls += [
         ("export-dot", "--source", sources[0]),
         ("export-dot", "--fused"),
@@ -176,6 +246,9 @@ def corpus() -> tuple[dict[str, bytes], list[Invocation]]:
         (broken if name.startswith("invalid-") else loads)[name] = text
     loads.update(EXTRA)
     invocations = [inv for name, text in loads.items() for inv in _full(name, text)]
+    large, large_invocations = _large()
+    loads.update(large)
+    invocations += large_invocations
     for name in broken:
         invocations += [
             Invocation("validate", name),
