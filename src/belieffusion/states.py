@@ -89,12 +89,12 @@ class BeliefState:
         every relation with layered rows is modular and transitive.
         """
         rows = self.relation.rows
-        classes: dict[tuple[int, int], int] = {}
+        classes: dict[tuple[int, bool], int] = {}
         for x, row in enumerate(rows):
-            key = (row, row >> x & 1)
+            key = (row, bool(row >> x & 1))
             classes[key] = classes.get(key, 0) | 1 << x
         order = sorted(classes, key=lambda key: (-key[0].bit_count(), key[1]))
-        blocks = tuple((classes[key], bool(key[1])) for key in order)
+        blocks = tuple((classes[key], key[1]) for key in order)
         if tuple(_layer_rows(self.universe, blocks)) != rows:
             return None
         return blocks

@@ -297,8 +297,8 @@ def test_conditional_read_from_blocks_matches_oracle_on_every_subset():
     for n in range(1, 5):
         u = small_universe(n)
         names = [w.upper() for w in u.worlds]
-        pu = PropUniverse(tuple(names), u, tuple((w, tuple(i == j for j in range(n))) for i, w in enumerate(u.worlds)))
-
+        one_hot = tuple((w, tuple(i == j for j in range(n))) for i, w in enumerate(u.worlds))
+        pu = PropUniverse(tuple(names), u, one_hot)
         subsets = [frozenset(), *nonempty_subsets(u.worlds)]
         formula = {ws: parse_formula(" | ".join(names[u.index(w)] for w in ws) or "false") for ws in subsets}
         q_sets = [ws for ws in subsets if len(ws) <= 1] + [subsets[-1]]

@@ -177,7 +177,7 @@ def _total_orders(k: int) -> bytes:
 
 def _large() -> tuple[dict[str, bytes], list[Invocation]]:
     """The 1024-world shapes, each with the commands that validate,
-    aggregate and query it; every command costs seconds here, so no more."""
+    aggregate and query it; each can take a second or more, so no more."""
     files = {"twin-k10.scn": _twin_rich(10), "total-k10.scn": _total_orders(10)}
     invocations = []
     for name, agent in (("twin-k10.scn", "a1"), ("total-k10.scn", "a0")):
