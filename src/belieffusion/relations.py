@@ -247,30 +247,20 @@ def transitive_closure(r: Relation) -> Relation:
     return Relation(r.universe, tuple(rows))
 
 
-def choice_mask(r: Relation, subset: int) -> int:
-    """The worlds of the mask ``subset`` not strictly dominated within it.
-
-    Domination is judged by the strict version of ``r``: x is dominated
-    iff ``col[x] & ~row[x]`` meets the subset. The subset must be
-    non-empty; the result is non-empty exactly when ``r`` is acyclic.
-    """
-    if not subset:
-        raise EmptySubsetError("choice set of the empty subset is undefined")
-    rows, cols = r.rows, r.cols
-    chosen = 0
-    for x in bits(subset):
-        if not cols[x] & ~rows[x] & subset:
-            chosen |= 1 << x
-    return chosen
-
-
 def choice_set(r: Relation, x_set: Iterable[str]) -> frozenset[str]:
     """Elements of ``x_set`` not strictly dominated by any other element.
 
-    The world-name form of ``choice_mask``, with the same errors.
+    Domination is judged by the strict version of ``r``: x is dominated
+    iff ``col[x] & ~row[x]`` meets the subset. An unknown world raises
+    UnknownWorldError, else an empty subset EmptySubsetError. The result
+    is non-empty for every subset exactly when ``r`` is acyclic.
     """
     u = r.universe
-    return frozenset(u.names(choice_mask(r, u.mask(x_set))))
+    subset = u.mask(x_set)
+    if not subset:
+        raise EmptySubsetError("choice set of the empty subset is undefined")
+    rows, cols = r.rows, r.cols
+    return frozenset(u.worlds[x] for x in bits(subset) if not cols[x] & ~rows[x] & subset)
 
 
 def in_conflict(r: Relation, x: str, y: str) -> bool:

@@ -163,6 +163,18 @@ def _world(t: list[str], i: int, index: dict[str, int]) -> int:
     return index[name]
 
 
+def _rank(t: list[str], i: int) -> int:
+    """The rank at token ``i``: a run of decimal digits. The one rank rule
+    of the scenario and pedigree readers."""
+    rank = _take(t, i, "a rank")
+    if rank.startswith("-"):
+        raise _TokenError(i, "negative rank", rank)
+    # isdecimal, not isdigit: int() rejects digits such as "²"
+    if not rank.isdecimal():
+        raise _TokenError(i, f"rank must be a non-negative integer, found {rank!r}", rank)
+    return int(rank)
+
+
 @dataclass
 class _SourceDraft:
     id: str
@@ -254,16 +266,11 @@ def parse_scenario(text: str) -> Scenario:
                     raise _TokenError(1, "declare 'worlds' or 'vars' before sources")
                 sid = _take(t, 1, "a source id")
                 _expect(t, 2, "rank")
-                rank = _take(t, 3, "a rank")
-                if rank.startswith("-"):
-                    raise _TokenError(3, "negative rank", rank)
-                # isdecimal, not isdigit: int() rejects digits such as "²"
-                if not rank.isdecimal():
-                    raise _TokenError(3, f"rank must be a non-negative integer, found {rank!r}", rank)
+                rank = _rank(t, 3)
                 _done(t, 4)
                 if sid in drafts:
                     raise _TokenError(4, f"duplicate source id {sid!r}", sid)
-                draft = drafts[sid] = _SourceDraft(sid, int(rank), [0] * len(universe))
+                draft = drafts[sid] = _SourceDraft(sid, rank, [0] * len(universe))
 
             elif keyword == "agent":
                 if universe is None:
@@ -433,15 +440,13 @@ def parse_pedigree(text: str, universe: WorldUniverse) -> PedigreedBeliefState:
             _expect(t, 1, "<")
             y = _world(t, 2, index)
             _expect(t, 3, "@")
-            rank = _take(t, 4, "a rank")
-            if not rank.isdecimal():
-                raise _TokenError(4, f"rank must be a non-negative integer, found {rank!r}", rank)
+            rank = _rank(t, 4)
             _done(t, 5)
             bit = 1 << y
             if seen[x] & bit:
                 raise _TokenError(0, f"duplicate pair {t[0]} < {t[2]}")
             seen[x] |= bit
-            by_rank.setdefault(int(rank), [0] * len(universe))[x] |= bit
+            by_rank.setdefault(rank, [0] * len(universe))[x] |= bit
         except _TokenError as e:
             raise e.at_line(lineno, raw) from None
     if not header_seen:

@@ -20,7 +20,6 @@ from .formulas import Formula, PropUniverse, models_mask
 from .relations import (
     Relation,
     WorldUniverse,
-    choice_mask,
     classify_properties,
     modularity_witness,
     transitivity_witness,
@@ -57,9 +56,12 @@ class VacuousConditionError(ValueError):
 class BeliefState:
     """A modular, transitive relation.
 
-    ``from_relation`` validates; ``BeliefState(r)`` trusts the caller.
-    Either way, every question about the state is answered from
-    ``blocks``, its layered form, computed once on first use.
+    ``from_relation`` validates at once; ``BeliefState(r)`` defers the
+    check to the first question. Either way, ``to_layers``,
+    ``classify_class`` and ``evaluate_conditional`` answer from
+    ``blocks``, the layered form, computed once on first use; for a
+    relation that is not modular and transitive, each raises the witness
+    error ``from_relation`` would raise.
     """
 
     relation: Relation
@@ -224,19 +226,19 @@ class ClassFlags:
 def classify_class(b: BeliefState | Relation) -> ClassFlags:
     """The class flags of a relation, or of a belief state's relation.
 
-    A belief state whose ``blocks`` certify it is in B, and its flags
-    follow from its diagonal: x < x holds exactly when x's block is
-    connected, and every pair across blocks is related. So it is total,
-    hence in T and Q, exactly when every block is connected, and
-    asymmetric, hence in T< and Q<, exactly when none is. Any other
-    input is judged from its property flags.
+    A belief state is in B, and its flags follow from its diagonal, read
+    from its ``blocks``: x < x holds exactly when x's block is connected,
+    and every pair across blocks is related. So it is total, hence in T
+    and Q, exactly when every block is connected, and asymmetric, hence
+    in T< and Q<, exactly when none is. A wrapped relation that is not a
+    belief state raises its witness error. A ``Relation`` is judged from
+    its property flags.
     """
-    if isinstance(b, BeliefState) and b.blocks is not None:
-        connected = [c for _, c in b.blocks]
+    if isinstance(b, BeliefState):
+        connected = [c for _, c in _certified(b)]
         total, asymmetric = all(connected), not any(connected)
         return ClassFlags(True, total, asymmetric, total, asymmetric)
-    r = b.relation if isinstance(b, BeliefState) else b
-    flags = classify_properties(r)
+    flags = classify_properties(b)
     in_b = flags.modular and flags.transitive
     return ClassFlags(
         in_b=in_b,
@@ -253,8 +255,9 @@ class ConditionalStatus:
 
     ``bel``/``disbel`` report homogeneous choice sets; ``agn`` a fully
     disconnected choice set mixed on q; ``con`` a fully connected one. The
-    flags are reported independently: a conflicted choice set can still be
-    homogeneous on q, so ``con`` and ``bel`` may co-hold.
+    choice set is never empty, so ``bel`` and ``disbel`` never both hold.
+    The other flags are reported independently: a conflicted choice set
+    can still be homogeneous on q, so ``con`` and ``bel`` may co-hold.
     """
 
     bel: bool
@@ -269,10 +272,9 @@ def evaluate_conditional(
 ) -> ConditionalStatus:
     """Answer "if p, then q?" against ``b``.
 
-    The choice set of a certified state is the p-worlds of the first block
-    that has any, and it is as connected as that block. A ``BeliefState``
-    wrapping any other relation is answered from its rows: the p-worlds
-    no p-world strictly dominates, connected or disconnected pair by pair.
+    The choice set is the p-worlds of the first block that has any, and
+    it is as connected as that block. A wrapped relation that is not a
+    belief state raises its witness error once both formulas are read.
     """
     if pu.universe != b.universe:
         raise ValueError("belief state and universe do not match")
@@ -280,20 +282,12 @@ def evaluate_conditional(
     if not p_mask:
         raise VacuousConditionError("condition has no satisfying world")
     q_mask = models_mask(pu, q)
-    if b.blocks is not None:
-        chosen, con = next((m & p_mask, c) for m, c in b.blocks if m & p_mask)
-        disconnected = not con
-    else:
-        rows = b.relation.rows
-        chosen = choice_mask(b.relation, p_mask)
-        inside = [rows[x] & chosen for x in bits(chosen)]
-        disconnected = not any(inside)
-        con = all(m == chosen for m in inside)
+    chosen, con = next((m & p_mask, c) for m, c in _certified(b) if m & p_mask)
     hits = chosen & q_mask
     return ConditionalStatus(
         bel=hits == chosen,
         disbel=not hits,
-        agn=disconnected and bool(hits) and hits != chosen,
+        agn=not con and bool(hits) and hits != chosen,
         con=con,
         choice=frozenset(b.universe.names(chosen)),
     )

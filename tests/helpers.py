@@ -717,6 +717,8 @@ def parse_pedigree_oracle(text: str, universe: WorldUniverse) -> PedigreedBelief
             lp.pos -= 1
             raise lp.error(f"expected '@', found {at!r}", at)
         rank_tok = lp.next("a rank")
+        if rank_tok.startswith("-"):
+            raise lp.error_at_last("negative rank", rank_tok)
         if not rank_tok.isdecimal():
             raise lp.error_at_last(f"rank must be a non-negative integer, found {rank_tok!r}", rank_tok)
         lp.done()

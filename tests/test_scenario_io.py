@@ -265,6 +265,15 @@ def test_pedigree_parse_errors():
             parse_pedigree(text, u)
 
 
+def test_both_readers_say_negative_rank():
+    with pytest.raises(ParseError) as exc:
+        parse_scenario("worlds a b\nsource s rank -1\n")
+    assert (exc.value.line, exc.value.column, exc.value.reason, exc.value.token) == (2, 15, "negative rank", "-1")
+    with pytest.raises(ParseError) as exc:
+        parse_pedigree("pedigree\na < b @ -1\n", universe("a", "b"))
+    assert (exc.value.line, exc.value.column, exc.value.reason, exc.value.token) == (2, 9, "negative rank", "-1")
+
+
 def test_pedigree_duplicate_pair_position():
     u = universe("a", "b", "c")
     text = "pedigree\na < b @ 1\nc < b @ 2\n\na < b @ 2\n"

@@ -296,9 +296,8 @@ def test_conditional_read_from_blocks_matches_oracle_on_every_subset():
     # every world cover the homogeneous and the mixed cases.
     for n in range(1, 5):
         u = small_universe(n)
-        names = [w.upper() for w in u.worlds]
-        one_hot = tuple((w, tuple(i == j for j in range(n))) for i, w in enumerate(u.worlds))
-        pu = PropUniverse(tuple(names), u, one_hot)
+        pu = one_hot_universe(u)
+        names = pu.variables
         subsets = [frozenset(), *nonempty_subsets(u.worlds)]
         formula = {ws: parse_formula(" | ".join(names[u.index(w)] for w in ws) or "false") for ws in subsets}
         q_sets = [ws for ws in subsets if len(ws) <= 1] + [subsets[-1]]
@@ -311,7 +310,38 @@ def test_conditional_read_from_blocks_matches_oracle_on_every_subset():
                     assert got == conditional_oracle(b.relation, p_worlds, q_worlds)
 
 
+def one_hot_universe(u):
+    """One variable per world, true there alone."""
+    names = tuple(w.upper() for w in u.worlds)
+    one_hot = tuple((w, tuple(i == j for j in range(len(u)))) for i, w in enumerate(u.worlds))
+    return PropUniverse(names, u, one_hot)
+
+
 def test_to_layers_of_an_invalid_state_raises_the_witness_error():
+    # Every relation over 1-3 worlds: a wrapped non-belief-state raises,
+    # at each reader, the error and witness from_relation raises; a
+    # wrapped belief state is classified as its relation is.
+    true = parse_formula("true")
+    readers = (
+        to_layers,
+        classify_class,
+        lambda b: evaluate_conditional(b, true, true, one_hot_universe(b.universe)),
+    )
+    invalid = 0
+    for n in (1, 2, 3):
+        u = small_universe(n)
+        for r in all_relations(u):
+            if modular_oracle(r) and transitive_oracle(r):
+                assert classify_class(BeliefState(r)) == classify_class(r)
+                continue
+            invalid += 1
+            with pytest.raises((NotModularError, NotTransitiveError)) as expected:
+                from_relation(r)
+            for read in readers:
+                with pytest.raises(type(expected.value)) as exc:
+                    read(BeliefState(r))
+                assert exc.value.witness == expected.value.witness
+    assert invalid == 530 - 2 - 10 - 74
     with pytest.raises(NotModularError) as exc:
         to_layers(BeliefState(pairs_over(U3, ("a", "b"))))
     assert exc.value.witness == ("a", "b", "c")
@@ -570,12 +600,13 @@ def test_witnesses_are_the_first_triples_in_pair_order():
 
 def test_conditional_matches_per_world_oracle_on_aliased_universes():
     rng = random.Random(4113)
-    vacuous = 0
+    vacuous = invalid = 0
     for case in range(400):
         pu = aliased_prop_universe(rng, ("F", "D", "G", "H")[: 2 + case % 3])
         u = pu.universe
         if case % 5 == 4:
-            # arbitrary relations too, cyclic ones included (empty choice sets)
+            # arbitrary relations too, cyclic ones included: one the
+            # oracles reject raises its witness error once p and q are read
             cells = [(x, y) for x in u.worlds for y in u.worlds]
             b = BeliefState(relation(u, (c for c in cells if rng.random() < 0.3)))
         else:
@@ -588,10 +619,18 @@ def test_conditional_matches_per_world_oracle_on_aliased_universes():
             with pytest.raises(VacuousConditionError):
                 evaluate_conditional(b, p, q, pu)
             continue
+        if not (modular_oracle(b.relation) and transitive_oracle(b.relation)):
+            invalid += 1
+            witness = first_modularity_witness(b.relation)
+            error = NotModularError if witness else NotTransitiveError
+            with pytest.raises(error) as exc:
+                evaluate_conditional(b, p, q, pu)
+            assert exc.value.witness == (witness or first_transitivity_witness(b.relation))
+            continue
         status = evaluate_conditional(b, p, q, pu)
         got = (status.bel, status.disbel, status.agn, status.con, status.choice)
         assert got == conditional_oracle(b.relation, p_worlds, models_oracle(pu, q))
-    assert 10 < vacuous < 100
+    assert 10 < vacuous < 100 and invalid > 40
 
 
 def test_conditional_error_order():

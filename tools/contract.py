@@ -20,7 +20,9 @@ topologies and with an unknown agent in ``star:`` and ``edges:``, and
 ``export-dot`` with each selector. A scenario that fails to load gets
 each command once. Two 1024-world scenarios, one of large layered blocks
 and one of shuffled total orders, get only ``validate``, ``aggregate
---op agr`` and ``query --agent``.
+--op agr`` and ``query --agent``. Twenty scenarios drawn with a fixed
+seed from the parser-differential test's mutations, most of which fail
+to load, get only ``validate``.
 
 The script prints identical and differing counts per command and the
 first differing line of each stream of each difference. It exits 1 if a
@@ -48,6 +50,7 @@ from dataclasses import dataclass
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (77, 78)
+MUTATION_SEED, MUTATIONS = 79, 20
 TIMEOUT_S = 300
 
 # Scenarios that break one rule of the reader or the library each; none
@@ -123,6 +126,26 @@ def _generated() -> dict[str, bytes]:
         files[f"sim-ring-k5-{seed}.scn"] = generate.sim_scenario(seed).text()
         files[f"query-k8-{seed}.scn"] = generate.query_scenario(seed).text()
     return {name: text.encode() for name, text in files.items()}
+
+
+def _mutations() -> dict[str, bytes]:
+    """A fixed sample of the parser-differential test's mutated scenarios:
+    the test module's ``mutate`` applied to its base scenarios, from one
+    seed. The module needs the package and the test helpers, so this
+    tree's ``src`` and ``tests`` go on the path while it is imported."""
+    paths = [str(ROOT / "src"), str(ROOT / "tests")]
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path[:0] = paths
+    try:
+        import test_parser_differential as differential
+    finally:
+        del sys.path[: len(paths)]
+        sys.dont_write_bytecode = saved
+    rng = random.Random(MUTATION_SEED)
+    bases = differential.base_scenarios(rng)
+    pool = bases["small"] + bases["k5"]
+    return {f"mutation-{i:02}.scn": differential.mutate(rng, rng.choice(pool)).encode() for i in range(MUTATIONS)}
 
 
 def _valuation_worlds(k: int) -> tuple[str, list[str], list[dict[str, bool]]]:
@@ -249,6 +272,9 @@ def corpus() -> tuple[dict[str, bytes], list[Invocation]]:
     large, large_invocations = _large()
     loads.update(large)
     invocations += large_invocations
+    mutations = _mutations()
+    loads.update(mutations)
+    invocations += [Invocation("validate", name) for name in mutations]
     for name in broken:
         invocations += [
             Invocation("validate", name),
