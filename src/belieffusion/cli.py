@@ -15,10 +15,10 @@ import click
 from .aggregation import Profile, agr, agr_rf, agr_star, agr_un, un
 from .formulas import FormulaSyntaxError, UndeclaredVariableError, parse_formula
 from .pedigree import PedigreedBeliefState, fuse, induced_state
-from .relations import Relation
 from .scenario import (
     ParseError,
     Scenario,
+    _pair_lines,
     export_dot,
     parse_scenario,
     serialize_pedigree,
@@ -73,10 +73,6 @@ def _write(path: str, payload: str) -> None:
             fh.write(payload)
     except OSError as e:
         _fail(2, f"cannot write {path}: {e}")
-
-
-def _pair_lines(r: Relation) -> list[str]:
-    return [f"{x} < {y}" for x, y in r.sorted_pairs()]
 
 
 def _echo_lines(lines: list[str]) -> None:

@@ -10,18 +10,20 @@ row/column mask algebra, so a check costs O(n) to O(pairs) big-int
 operations rather than a sweep over pairs of pairs; the modularity and
 transitivity witnesses are one search that differs only in the mask its
 third world is drawn from. World names appear only at the boundary:
-``relation(u, pairs)``, ``.pairs``, ``.has`` and ``sorted_pairs()``.
+``relation(u, pairs)``, ``.pairs``, ``.has`` and ``WorldUniverse.names``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .bitset import bits, lowest, transpose
 
 Pair = tuple[str, str]
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to compress()'s 0/1 flags
 
 
 class UniverseMismatchError(ValueError):
@@ -79,8 +81,10 @@ class WorldUniverse:
         return m
 
     def names(self, mask: int) -> list[str]:
-        """The worlds of a bit mask, in declaration order."""
-        return [self.worlds[i] for i in bits(mask)]
+        """The worlds of a bit mask, in declaration order, read in C from its lowest to its highest set bit."""
+        low = max(lowest(mask), 0)
+        flags = format(mask >> low, "b")[::-1].encode().translate(_DIGITS)
+        return list(compress(self.worlds[low : mask.bit_length()], flags))
 
 
 def universe(*worlds: str) -> WorldUniverse:
@@ -111,7 +115,8 @@ class Relation:
 
     @property
     def pairs(self) -> frozenset[Pair]:
-        return frozenset(self.sorted_pairs())
+        u = self.universe
+        return frozenset((x, y) for x, row in zip(u.worlds, self.rows) for y in u.names(row))
 
     def __contains__(self, pair: Pair) -> bool:
         return self.has(*pair)
@@ -121,11 +126,6 @@ class Relation:
         if x not in index or y not in index:
             return False
         return bool(self.rows[index[x]] >> index[y] & 1)
-
-    def sorted_pairs(self) -> list[Pair]:
-        """The pairs in universe order, row-major."""
-        ws = self.universe.worlds
-        return [(ws[x], ws[y]) for x, row in enumerate(self.rows) for y in bits(row)]
 
 
 def relation(u: WorldUniverse, pairs: Iterable[Pair] = ()) -> Relation:

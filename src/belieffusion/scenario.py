@@ -43,7 +43,7 @@ from .bitset import bits
 from .formulas import PropUniverse, canonical_world_name, generate_universe
 from .pedigree import Agent, PedigreedBeliefState, _levels, induced_state
 from .relations import Relation, WorldUniverse
-from .states import BeliefState, LayeredForm, _layer_rows, to_layers
+from .states import BeliefState, LayeredForm, _layer_rows
 
 FORMAT_HEADER = "# format 1"
 
@@ -288,7 +288,7 @@ def parse_scenario(text: str) -> Scenario:
                 agent_ids[aid] = ids
 
             else:
-                raise _TokenError(1, f"unknown declaration {keyword!r}", keyword)
+                raise _TokenError(0, f"unknown declaration {keyword!r}", keyword)
         except _TokenError as e:
             raise e.at_line(lineno, raw) from None
         except ValueError as e:
@@ -405,13 +405,19 @@ def format_scenario(s: Scenario) -> str:
         lines.append("worlds " + " ".join(s.universe.worlds))
     for src in s.profile.sources:
         lines.append(f"source {src.id} rank {src.rank}")
-        pairs = src.state.relation.sorted_pairs()
+        pairs = _pair_lines(src.state.relation)
         if pairs:
-            lines.append("  pairs " + ", ".join(f"{x} < {y}" for x, y in pairs))
+            lines.append("  pairs " + ", ".join(pairs))
     for agent in s.agents:
         ids = " ".join(src.id for src in agent.informants.sources)
         lines.append(f"agent {agent.id} =" + (f" {ids}" if ids else ""))
     return "\n".join(lines) + "\n"
+
+
+def _pair_lines(r: Relation) -> list[str]:
+    """Each pair of ``r`` as ``x < y``, row-major: the one writer of pair text."""
+    u = r.universe
+    return [f"{x} < {y}" for x, row in zip(u.worlds, r.rows) for y in u.names(row)]
 
 
 def serialize_pedigree(pbs: PedigreedBeliefState) -> str:
@@ -465,32 +471,30 @@ def export_dot(obj: LayeredForm | PedigreedBeliefState) -> str:
     (pairs spanning non-adjacent blocks stay implicit, matching the
     transitive-reduction style of the node graph).
     """
+    u = obj.universe
     if isinstance(obj, PedigreedBeliefState):
-        layered = to_layers(induced_state(obj))
+        blocks = induced_state(obj).blocks  # certified, so never None
         levels = obj.levels
     else:
-        layered = obj
+        blocks = [(u.mask(block.worlds), block.connected) for block in obj.blocks]
         levels = ()
-
-    u = layered.universe
-    masks = [u.mask(block.worlds) for block in layered.blocks]
 
     def edge(a: int, b: int) -> str:
         ranks = sorted(
-            r for r, rel in levels if any(rel.rows[x] & masks[b] for x in bits(masks[a]))
+            r for r, rel in levels if any(rel.rows[x] & blocks[b][0] for x in bits(blocks[a][0]))
         )
         attr = f' [label="{",".join(str(r) for r in ranks)}"]' if ranks else ""
         return f"  n{a} -> n{b}{attr};"
 
     lines = ["digraph belief_state {"]
-    for i, block in enumerate(layered.blocks):
+    for i, (m, _) in enumerate(blocks):
         # a DOT string escapes backslash and double quote
-        name = ",".join(sorted(block.worlds, key=u.index)).replace("\\", "\\\\").replace('"', '\\"')
+        name = ",".join(u.names(m)).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{name}"];')
-    for i, block in enumerate(layered.blocks):
-        if block.connected:
+    for i, (_, connected) in enumerate(blocks):
+        if connected:
             lines.append(edge(i, i))
-        if i + 1 < len(layered.blocks):
+        if i + 1 < len(blocks):
             lines.append(edge(i, i + 1))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -618,7 +618,7 @@ def parse_scenario_oracle(text: str) -> Scenario:
             agent_rows.append((aid, ids))
             continue
 
-        raise lp.error(f"unknown declaration {keyword!r}", keyword)
+        raise lp.error_at_last(f"unknown declaration {keyword!r}", keyword)
 
     if universe is None:
         raise ParseError(1, 1, "scenario declares no universe")

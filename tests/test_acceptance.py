@@ -47,6 +47,7 @@ from belieffusion import (
     union_profile,
     universe,
 )
+from belieffusion import scenario
 from helpers import (
     all_relations,
     choice_oracle,
@@ -497,11 +498,9 @@ def _scenario_corpus():
             ids.append(sid)
             lines.append(f"source {sid} rank {rng.randint(0, 4)}")
             state = random_state(rng, u)
-            pairs = state.relation.sorted_pairs()
+            pairs = scenario._pair_lines(state.relation)
             if pairs:
-                lines.append(
-                    "  pairs " + ", ".join(f"{x} < {y}" for x, y in pairs)
-                )
+                lines.append("  pairs " + ", ".join(pairs))
         for i in range(rng.randint(0, 3)):
             chosen = [s for s in ids if rng.random() < 0.5]
             lines.append(f"agent A{i} = " + " ".join(chosen))

@@ -65,6 +65,27 @@ def test_validate_is_linear_on_total_orders(tmp_path, monkeypatch):
     assert counts[10] <= 5 * counts[8], counts
 
 
+def test_aggregate_listing_does_not_yield_per_pair(tmp_path, monkeypatch):
+    # The listing of agr's result selects each row's names in one C-level
+    # pass, so the count is the parse and certificate work, linear in the
+    # worlds. Yielding once per listed pair instead is quadratic: a total
+    # order has n(n-1)/2 pairs, and 4x the worlds gives 16x the count.
+    runner = CliRunner()
+    count = counted_bits(monkeypatch)
+    counts = {}
+    for k in (8, 10):
+        path = tmp_path / f"total-{k}.scn"
+        path.write_text(total_orders(k))
+        count[0] = 0
+        result = runner.invoke(main, ["aggregate", "--op", "agr", str(path)])
+        # two orders at one rank conflict everywhere: one connected block
+        worlds = generate_universe([f"V{i}" for i in range(k)]).universe.worlds
+        assert (result.exit_code, result.output.count("\n")) == (0, len(worlds) ** 2 + 1)
+        assert result.output.endswith(f"layers: [{' '.join(worlds)}]*\n")
+        counts[k] = count[0]
+    assert counts[10] <= 5 * counts[8], counts
+
+
 def test_from_relation_searches_no_witness_for_a_belief_state(monkeypatch):
     calls = []
     search = relations._first_witness

@@ -1,8 +1,8 @@
 """Static checks on the package source: nothing it imports goes unused,
 no private module-level name is left that nothing reads, the CLI opens
-files only in its two I/O helpers, the scenario reader translates library
-errors in one place, and README's module table lists exactly the
-package's modules."""
+files only in its two I/O helpers and formats no pair, the scenario
+reader translates library errors in one place, and README's module table
+lists exactly the package's modules."""
 
 import ast
 import pathlib
@@ -105,6 +105,16 @@ def test_cli_opens_files_only_in_load_and_write():
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     helpers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ("_load", "_write")]
     assert opens(tree) == sum(opens(f) for f in helpers)
+
+
+def test_cli_formats_no_pair():
+    """Pair text (``x < y``) is written by ``scenario._pair_lines`` alone;
+    no string constant or f-string piece of the CLI spells one out."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    pieces = [
+        node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert not [p for p in pieces if " < " in p]
 
 
 def test_scenario_reader_translates_library_errors_once():

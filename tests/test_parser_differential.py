@@ -84,7 +84,7 @@ def random_scenario(rng: random.Random, u: WorldUniverse, header: list[str]) -> 
                 ]
             else:
                 pairs = [(rng.choice(u.worlds), rng.choice(u.worlds)) for _ in range(rng.randint(1, 6))]
-            pairs = relation(u, pairs).sorted_pairs()
+            pairs = sorted(relation(u, pairs).pairs, key=lambda p: (u.index(p[0]), u.index(p[1])))
             lines += pair_lines(pairs, rng.choice([4, 16, 64])) if pairs else []
     for i in range(rng.randint(0, 3)):
         lines.append(f"agent A{i} = " + " ".join(rng.sample(ids, rng.randint(0, len(ids)))))

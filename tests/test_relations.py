@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from belieffusion import (
@@ -35,6 +37,23 @@ def test_universe_rejects_empty_and_duplicates():
         WorldUniverse(())
     with pytest.raises(ValueError):
         WorldUniverse(("a", "a"))
+
+
+def test_names_match_a_bit_by_bit_oracle():
+    def oracle(u, m):
+        return [w for i, w in enumerate(u.worlds) if m >> i & 1]
+
+    for n in range(1, 9):
+        u = small_universe(n)
+        for m in range(1 << n):
+            assert u.names(m) == oracle(u, m)
+    u = WorldUniverse(tuple(f"w{i}" for i in range(4096)))
+    rng = random.Random(4096)
+    full = (1 << 4096) - 1
+    masks = [0, full, 1 << 4095] + [rng.getrandbits(4096) for _ in range(20)]
+    masks += [rng.getrandbits(4096) & rng.getrandbits(4096) >> rng.randrange(4096) for _ in range(20)]
+    for m in masks:
+        assert u.names(m) == oracle(u, m)
 
 
 def test_relation_rejects_foreign_worlds():

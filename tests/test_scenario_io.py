@@ -200,6 +200,15 @@ def test_parse_error_position_is_exact():
     assert exc.value.token == "zz"
 
 
+@pytest.mark.parametrize("line, column", [("bogus x y", 1), ("  bogus", 3), ("\tbogus # c", 2)])
+def test_unknown_declaration_points_at_its_keyword(line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_scenario(f"worlds a b\n{line}\n")
+    assert (exc.value.line, exc.value.column, exc.value.reason, exc.value.token) == (
+        2, column, "unknown declaration 'bogus'", "bogus"
+    )
+
+
 def test_format_scenario_round_trip_value_and_bytes():
     for text in (MINIMAL, EXAMPLE4):
         s = parse_scenario(text)
@@ -221,9 +230,9 @@ def test_format_scenario_round_trip_randomized():
         lines = ["worlds " + " ".join(u.worlds)]
         for src in profile.sources:
             lines.append(f"source {src.id} rank {src.rank}")
-            pairs = src.state.relation.sorted_pairs()
+            pairs = scenario._pair_lines(src.state.relation)
             if pairs:
-                lines.append("  pairs " + ", ".join(f"{x} < {y}" for x, y in pairs))
+                lines.append("  pairs " + ", ".join(pairs))
         for aid, ids in agents:
             lines.append(f"agent {aid} = " + " ".join(ids))
         s = parse_scenario("\n".join(lines) + "\n")
