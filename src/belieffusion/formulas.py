@@ -12,8 +12,11 @@ connectives. Grammar, loosest first:
 Variables match [A-Za-z_][A-Za-z0-9_]* minus the keywords; whitespace is
 insignificant.
 
-Parsing is one operator-precedence loop over the tokens, and no walk over
-a tree recurses, so a formula of any nesting depth or length is
+Parsing is one operator-precedence loop over the token strings, which
+one ``findall`` reads in a single pass; a token's offset is worked out
+only when an error is raised. Each distinct name of a formula becomes one
+leaf node, shared by all its occurrences: nodes are immutable. No walk
+over a tree recurses, so a formula of any nesting depth or length is
 accepted. Evaluation, ``variables_of`` and the nodes' ``==`` and ``hash``
 are folds over one post-order walk; printing and ``repr`` each use an
 explicit stack.
@@ -43,11 +46,10 @@ _OPERATORS = frozenset({"<->", "->", "!", "&", "|", "(", ")"})
 # variable that ``generate_universe`` accepts.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# One alternative per token kind; ``bad`` catches the first character no
-# token can start with. Whitespace matches nothing and is skipped.
-_TOKEN_RE = re.compile(
-    rf"(?P<name>{_NAME_RE.pattern})|(?P<op><->|->|[!&|()])|(?P<bad>\S)"
-)
+# A name, an operator, or any other character but whitespace, which no
+# token can start with: a token that is neither an operator nor a name is
+# a bad character. Whitespace matches nothing and is skipped.
+_TOKEN_RE = re.compile(rf"{_NAME_RE.pattern}|<->|->|[!&|()]|\S")
 
 
 class FormulaSyntaxError(ValueError):
@@ -72,6 +74,8 @@ class _Node:
     arity, so the key determines the tree. ``repr`` is one loop over an
     explicit stack and prints what the dataclass one would.
     """
+
+    __slots__ = ()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__dataclass_fields__)
@@ -106,40 +110,40 @@ class _Node:
         return "".join(pieces)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Const(_Node):
     value: bool
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Not(_Node):
     operand: "Formula"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Iff(_Node):
     left: "Formula"
     right: "Formula"
@@ -149,17 +153,29 @@ Formula = Union[Var, Const, Not, And, Or, Implies, Iff]
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
-    """(token, offset) for each token of ``text``, in one scan.
+    """(token, offset) for each token of ``text``: the parser's error path.
 
-    Every token is an operator or a name, so a token that is not in
-    ``_OPERATORS`` is a name.
+    The tokens are ``parse_formula``'s, and only whitespace lies between
+    two of them, so a token stands where it first occurs after the end
+    of the previous one. The first token that is neither an operator nor
+    a name is a bad character, and raises.
     """
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
-            raise FormulaSyntaxError(m.start(), f"unexpected character {m.group()!r}")
-        tokens.append((m.group(), m.start()))
+    end = 0
+    for tok in _TOKEN_RE.findall(text):
+        start = text.index(tok, end)
+        if tok not in _OPERATORS and not _NAME_RE.match(tok):
+            raise FormulaSyntaxError(start, f"unexpected character {tok!r}")
+        tokens.append((tok, start))
+        end = start + len(tok)
     return tokens
+
+
+def _error(text: str, at: int, reason: str) -> FormulaSyntaxError:
+    """The error at token ``at`` of ``text``, past its end if there is no
+    such token; a bad character anywhere in ``text`` raises first."""
+    tokens = _tokenize(text)
+    return FormulaSyntaxError(tokens[at][1] if at < len(tokens) else len(text), reason)
 
 
 # Binary connectives: (precedence level, node), loosest first. "!" binds
@@ -171,28 +187,36 @@ _SYMBOL = {node: (symbol, level) for symbol, (level, node) in _BINARY.items()}
 
 
 def parse_formula(text: str) -> Formula:
-    """Operator-precedence parse of ``text``, one loop over its tokens.
+    """Operator-precedence parse of ``text``, one loop over its token
+    strings; offsets are found by ``_error``, only when one is raised.
 
     ``pending`` holds the open parentheses, as (0, None), and the
     connectives still waiting for their right operand, as (level, node).
     A connective applies every pending one at its level or tighter (for
     "->", only strictly tighter ones) before it is pushed; ")" and the
-    end of input apply all of them down to the innermost "(".
+    end of input apply all of them down to the innermost "(". ``leaves``
+    holds the one leaf of each name read so far.
     """
+    tokens: list[str | None] = _TOKEN_RE.findall(text)
+    tokens.append(None)  # the end of input
+    leaves: dict[str, Formula] = {}
     operands: list[Formula] = []
     pending: list[tuple[int, type | None]] = []
     want_operand = True
-    for tok, offset in _tokenize(text) + [(None, len(text))]:
+    for at, tok in enumerate(tokens):
         if want_operand:
             if tok == "!":
                 pending.append((_NOT_LEVEL, Not))
             elif tok == "(":
                 pending.append((0, None))
-            elif tok is None or tok in _OPERATORS:
-                found = "end of input" if tok is None else repr(tok)
-                raise FormulaSyntaxError(offset, f"expected a formula, found {found}")
             else:
-                operands.append(Const(tok == "true") if tok in KEYWORDS else Var(tok))
+                leaf = leaves.get(tok)
+                if leaf is None:
+                    if tok is None or not _NAME_RE.match(tok):  # an operator, or a bad character
+                        found = "end of input" if tok is None else repr(tok)
+                        raise _error(text, at, f"expected a formula, found {found}")
+                    leaf = leaves[tok] = Const(tok == "true") if tok in KEYWORDS else Var(tok)
+                operands.append(leaf)
                 want_operand = False
             continue
         binary = _BINARY.get(tok)
@@ -214,9 +238,9 @@ def parse_formula(text: str) -> Formula:
         elif pending and tok == ")":
             pending.pop()
         elif pending:
-            raise FormulaSyntaxError(offset, f"expected ')', found {tok!r}")
+            raise _error(text, at, f"expected ')', found {tok!r}")
         elif tok is not None:
-            raise FormulaSyntaxError(offset, f"unexpected trailing token {tok!r}")
+            raise _error(text, at, f"unexpected trailing token {tok!r}")
     return operands[0]
 
 

@@ -187,17 +187,23 @@ def parse_scenario(text: str) -> Scenario:
     """Read a scenario text; a malformed line raises a positioned ParseError.
 
     The reader checks the syntax; the library checks its own rules (unique
-    world names, variable names, a free alias name, a layers partition).
-    A ``ValueError`` from one of those rules is translated in one place,
-    into a ParseError at the end of the line with an empty token. An
-    invalid ``pairs`` source raises NotModularError or NotTransitiveError
-    after the whole text is read.
+    world names, variable names, a layers partition). A ``ValueError``
+    from one of those rules is translated in one place, into a ParseError
+    at the end of the line with an empty token; so are the alias rules (a
+    target not renamed yet, a free alias name), which the reader checks
+    as it renames the worlds in place. An invalid ``pairs`` source
+    raises NotModularError or NotTransitiveError after the whole text is
+    read.
     """
     universe: WorldUniverse | None = None
     prop: PropUniverse | None = None
     drafts: dict[str, _SourceDraft] = {}
     draft: _SourceDraft | None = None  # the source body lines belong to
     agent_ids: dict[str, list[str]] = {}
+    # While 'world' lines rename worlds: each world's name to its index.
+    # The renamed universe is built once, at the next line of another
+    # kind or at the end of the text.
+    renaming: dict[str, int] | None = None
 
     def finish(draft: _SourceDraft) -> Source:
         r = Relation(universe, draft.rows)
@@ -213,6 +219,9 @@ def parse_scenario(text: str) -> Scenario:
             continue
         keyword = t[0]
         n = len(t)
+        if renaming is not None and keyword != "world":
+            prop, renaming = _renamed(prop, renaming), None
+            universe = prop.universe
         try:
             if keyword == "pairs" or keyword == "layers":
                 # A line that starts with a token is not indented.
@@ -256,10 +265,14 @@ def parse_scenario(text: str) -> Scenario:
                 _expect(t, 2, "=")
                 values = _lits_to_bits(t, prop.variables)
                 canonical = canonical_world_name(prop.variables, values)
-                if canonical not in prop.universe:
+                if renaming is None:
+                    renaming = {w: i for i, w in enumerate(universe.worlds)}
+                if canonical not in renaming:
                     raise _TokenError(n, "alias target already renamed")
-                prop = prop.rename_world(canonical, alias)
-                universe = prop.universe
+                if alias != canonical:
+                    if alias in renaming:
+                        raise _TokenError(n, f"world name {alias!r} already in use")
+                    renaming[alias] = renaming.pop(canonical)
 
             elif keyword == "source":
                 if universe is None:
@@ -297,6 +310,9 @@ def parse_scenario(text: str) -> Scenario:
 
     if universe is None:
         raise ParseError(1, 1, "scenario declares no universe")
+    if renaming is not None:
+        prop = _renamed(prop, renaming)
+        universe = prop.universe
 
     by_id = {sid: finish(d) for sid, d in drafts.items()}
     profile = Profile(universe, tuple(by_id.values()))
@@ -305,6 +321,14 @@ def parse_scenario(text: str) -> Scenario:
         for aid, ids in agent_ids.items()
     )
     return Scenario(universe, prop, profile, agents)
+
+
+def _renamed(prop: PropUniverse, renaming: dict[str, int]) -> PropUniverse:
+    """``prop`` with its worlds named as ``renaming`` maps names to
+    world indexes."""
+    worlds = tuple(sorted(renaming, key=renaming.__getitem__))
+    values = [v for _, v in prop.valuations]
+    return PropUniverse(prop.variables, WorldUniverse(worlds), tuple(zip(worlds, values)))
 
 
 def _lits_to_bits(t: list[str], variables: tuple[str, ...]) -> tuple[bool, ...]:

@@ -11,8 +11,21 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from belieffusion import NotModularError, from_layers, from_relation, generate_universe, relation
-from belieffusion import bitset, relations
+from belieffusion import (
+    Block,
+    FormulaSyntaxError,
+    LayeredForm,
+    NotModularError,
+    WorldUniverse,
+    from_layers,
+    from_relation,
+    generate_universe,
+    parse_formula,
+    parse_scenario,
+    relation,
+    to_layers,
+)
+from belieffusion import bitset, formulas, relations
 from belieffusion.cli import main
 from helpers import random_layered
 
@@ -103,3 +116,79 @@ def test_from_relation_searches_no_witness_for_a_belief_state(monkeypatch):
     with pytest.raises(NotModularError):
         from_relation(relation(u, [u.worlds[:2]]))
     assert calls
+
+
+def test_naming_a_partition_is_linear(monkeypatch):
+    # to_layers names each block of the n/2 two-world blocks
+    # {w_i, w_(n-1-i)}. The count is the worlds visited: bits yields, and
+    # the flags of each C-level pass over a span. Passing over each
+    # block's span visits about n^2/4 worlds in all, so 4x the worlds
+    # gives 16x the count; reading a sparse block bit by bit visits its
+    # two worlds.
+    count = counted_bits(monkeypatch)
+    original = relations.compress
+
+    def compress(data, selectors):
+        count[0] += len(selectors)
+        return original(data, selectors)
+
+    monkeypatch.setattr(relations, "compress", compress)
+    counts = {}
+    for n in (1024, 4096):
+        u = WorldUniverse(tuple(f"w{i}" for i in range(n)))
+        blocks = tuple(
+            Block(frozenset({u.worlds[i], u.worlds[n - 1 - i]}), i % 3 == 0) for i in range(n // 2)
+        )
+        b = from_layers(LayeredForm(u, blocks))
+        count[0] = 0
+        assert to_layers(b) == LayeredForm(u, blocks)
+        counts[n] = count[0]
+    assert counts[4096] <= 5 * counts[1024], counts
+
+
+def test_aliases_build_the_universe_once(monkeypatch):
+    # 'world' lines rename worlds in place, and the renamed universe is
+    # built once: the count is the generated universe and that one build,
+    # whatever the number of aliases. Rebuilding it per alias line makes
+    # parsing quadratic in the aliases.
+    builds = [0]
+    post_init = WorldUniverse.__post_init__
+
+    def counted(self):
+        builds[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(WorldUniverse, "__post_init__", counted)
+    variables = [f"V{i}" for i in range(8)]
+    worlds = generate_universe(variables).universe.worlds
+    counts = {}
+    for aliases in (16, 128):
+        lines = ["vars " + " ".join(variables)]
+        lines += [f"world w{i} = {worlds[i].replace('.', ' ')}" for i in range(aliases)]
+        lines += ["source s rank 1", "  layers [" + " ".join(f"w{i}" for i in range(aliases)) + "]"]
+        lines[-1] += " > [" + " ".join(worlds[aliases:]) + "]"
+        builds[0] = 0
+        scenario = parse_scenario("\n".join(lines) + "\n")
+        counts[aliases] = builds[0]
+        assert scenario.universe.worlds == tuple(f"w{i}" for i in range(aliases)) + worlds[aliases:]
+        assert scenario.prop.valuation("w3") == dict(zip(variables, (True,) * 6 + (False, False)))
+    assert counts[128] == counts[16] == 2, counts
+
+
+def test_a_valid_formula_is_parsed_without_offsets(monkeypatch):
+    # The parser reads token strings; the located tokens, offsets and
+    # all, are worked out only to raise an error, once.
+    calls = []
+    tokenize = formulas._tokenize
+
+    def counted(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(formulas, "_tokenize", counted)
+    for text in ("A", "!(A | false) -> B <-> x_1 & A", "((true))"):
+        parse_formula(text)
+    assert calls == []
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("A &")
+    assert calls == ["A &"]

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from functools import reduce
 
@@ -16,6 +18,7 @@ from belieffusion import (
     parse_formula,
     satisfies,
 )
+from belieffusion import formulas
 from belieffusion.formulas import (
     And,
     Const,
@@ -66,6 +69,56 @@ def test_parse_errors_carry_offsets():
         parse_formula("")
     with pytest.raises(FormulaSyntaxError):
         parse_formula("A B")
+
+
+@pytest.mark.parametrize(
+    "text, offset, reason",
+    [
+        # a bad character anywhere is reported before an earlier syntax error
+        ("A B @", 4, "unexpected character '@'"),
+        ("(A @", 3, "unexpected character '@'"),
+        ("1A", 0, "unexpected character '1'"),
+        ("A \u00e9", 2, "unexpected character '\u00e9'"),
+        ("A <- B", 2, "unexpected character '<'"),
+        ("(A", 2, "expected ')', found None"),
+        ("A B", 2, "unexpected trailing token 'B'"),
+        ("A &\t& B", 4, "expected a formula, found '&'"),
+        ("  ", 2, "expected a formula, found end of input"),
+    ],
+)
+def test_syntax_errors_name_the_first_fault_by_offset(text, offset, reason):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(text)
+    assert (exc.value.offset, exc.value.reason, str(exc.value)) == (offset, reason, f"at offset {offset}: {reason}")
+
+
+def test_one_leaf_per_name_per_parse():
+    f = parse_formula("(A & B) | !(A -> true) <-> A & B & true")
+    leaves = [node for node in formulas._postorder(f) if type(node) in (Var, Const)]
+    assert [format_formula(leaf) for leaf in leaves] == ["A", "B", "A", "true", "A", "B", "true"]
+    assert len({id(leaf) for leaf in leaves}) == 3
+    # leaves are not shared between parses
+    assert parse_formula("A").name == "A" and parse_formula("A") is not parse_formula("A")
+
+
+def test_nodes_are_frozen_and_slotted():
+    f = parse_formula("!A & (B | true)")
+    for node in formulas._postorder(f):
+        name = next(iter(node.__dataclass_fields__))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, Var("Z"))
+        assert not hasattr(node, "__dict__")
+
+
+def test_parsed_trees_survive_deepcopy_and_pickle():
+    rng = random.Random(2025)
+    texts = ["A", "true", "!A & (B | false) -> A <-> B"]
+    texts += [format_formula(random_tree(rng, depth=5)) for _ in range(20)]
+    for text in texts:
+        f = parse_formula(text)
+        for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g is not f and g == f and hash(g) == hash(f) and repr(g) == repr(f)
+            assert format_formula(g) == text
 
 
 def test_satisfies_basic():

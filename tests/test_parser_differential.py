@@ -103,6 +103,39 @@ def vars_scenario(rng: random.Random, k: int) -> str:
     return random_scenario(rng, pu.universe, header)
 
 
+def alias_scenario(rng: random.Random, k: int) -> str:
+    """A ``vars`` scenario with up to 2^k ``world`` lines: mostly fresh
+    names for distinct targets, and now and then a target renamed
+    already, a world's own name, or another world's canonical name, which
+    may be in use or freed by an earlier alias."""
+    variables = [f"V{i}" for i in range(k)]
+    pu = generate_universe(variables)
+    canonical = list(pu.universe.worlds)
+    header = ["vars " + " ".join(variables)]
+    for i, target in enumerate(rng.sample(canonical, rng.randint(1, len(canonical)))):
+        if rng.random() < 0.03:
+            target = rng.choice(canonical)  # perhaps renamed already
+        pick = rng.random()
+        alias = f"w{i}" if pick < 0.9 else target if pick < 0.96 else rng.choice(canonical)
+        header.append(f"world {alias} = {target.replace('.', ' ')}")
+        if target in pu.universe and (alias == target or alias not in pu.universe):
+            pu = pu.rename_world(target, alias)
+    return random_scenario(rng, pu.universe, header)
+
+
+# Alias rules by hand: a canonical name freed by one alias and taken by
+# another, then named as a target (it now names another world); aliases
+# after an agent line; aliases that end the text; a name in use; a
+# target already renamed.
+ALIAS_TEXTS = [
+    "vars F D\nworld x = F !D\nworld F.!D = F D\nworld z = F !D\nsource s rank 1\n  layers [z x] > [!F.D !F.!D]\n",
+    "vars F D\nagent A =\nworld x = F D\nsource s rank 1\n  layers [x F.!D] > [!F.D !F.!D]\nagent B = s\n",
+    "vars F D\nworld x = F D\nworld y = !F !D\n",
+    "vars F D\nworld x = F D\nworld x = F !D\n",
+    "vars F D\nworld x = F D\nworld y = F D\n",
+]
+
+
 def base_scenarios(rng: random.Random) -> dict[str, list[str]]:
     small = [path.read_text() for path in sorted(SCENARIOS.glob("*.scn"))]
     for _ in range(40):
@@ -224,6 +257,12 @@ def test_scenario_parser_matches_the_cursor_oracle():
         corpus += [f"{keyword} " + " ".join(f"W{j}" for j in range(count)) + "\n" for count in (cap, cap + 1)]
     # an alias to another world's name, and to the world's own name
     corpus += ["vars F D\nworld F.!D = F D\n", "vars F D\nworld F.!D = F D # c\t\n", "vars F D\nworld F.D = F D\n"]
+    # alias-heavy texts, and mutations of them
+    arng = random.Random(8082)
+    small = [alias_scenario(arng, k) for k in (2, 3, 5) for _ in range(6)] + ALIAS_TEXTS
+    large = [alias_scenario(arng, 8) for _ in range(3)]
+    corpus += small + large + [mutate(arng, arng.choice(small)) for _ in range(300)]
+    corpus += [mutate(arng, arng.choice(large)) for _ in range(10)]
     kinds = collections.Counter()
     reasons = []
     for text in corpus:

@@ -52,6 +52,9 @@ def test_names_match_a_bit_by_bit_oracle():
     full = (1 << 4096) - 1
     masks = [0, full, 1 << 4095] + [rng.getrandbits(4096) for _ in range(20)]
     masks += [rng.getrandbits(4096) & rng.getrandbits(4096) >> rng.randrange(4096) for _ in range(20)]
+    # sparse masks, read bit by bit, and each side of that rule's bound
+    masks += [sum(1 << i for i in rng.sample(range(4096), k)) for k in (2, 3, 10, 127, 128, 129, 200)]
+    masks += [1 | 1 << 63, 1 | 1 << 64, 1 << 100 | 1 << 164, 1 << 4000 | 1 << 4095]
     for m in masks:
         assert u.names(m) == oracle(u, m)
 

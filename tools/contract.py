@@ -15,7 +15,8 @@ imported, never written to); and small scenarios that break each rule
 the scenario reader enforces. Every scenario that loads gets every
 command: ``validate``, each ``aggregate`` operator, the ``--sources``
 selector with good, repeated, unknown and empty ids, ``fuse``, ``query``
-with good and bad formulas and selectors, ``simulate`` on four
+with good and bad formulas and selectors (and, on one generated
+scenario, five formulas each broken in its own way), ``simulate`` on four
 topologies and with an unknown agent in ``star:`` and ``edges:``, and
 ``export-dot`` with each selector. A scenario that fails to load gets
 each command once. Two 1024-world scenarios, one of large layered blocks
@@ -25,6 +26,12 @@ ring`` and ``export-dot --fused``: every writer of pair text and DOT
 labels, with outputs of up to about 100 MB each. Twenty scenarios drawn
 with a fixed seed from the parser-differential test's mutations, most of
 which fail to load, get only ``validate``.
+
+Each run writes its streams to files, and the two runs of an invocation
+are compared by the SHA-256 digests of their exit code and streams as
+soon as both finish. The bytes of a stream are kept only when the runs
+differ, or when the stream is at most ``KEEP`` bytes long, so the
+script's memory does not grow with the size of the outputs.
 
 The script prints identical and differing counts per command and the
 first differing line of each stream of each difference. It exits 1 if a
@@ -39,6 +46,7 @@ from __future__ import annotations
 import argparse
 import collections
 import concurrent.futures
+import hashlib
 import itertools
 import os
 import pathlib
@@ -54,6 +62,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (77, 78)
 MUTATION_SEED, MUTATIONS = 79, 20
 TIMEOUT_S = 300
+KEEP = 1 << 16  # bytes of a stream kept even when both runs agree
 
 # Scenarios that break one rule of the reader or the library each; none
 # of them loads.
@@ -84,6 +93,19 @@ EXTRA = {
 }
 
 
+# Malformed formulas, each an error the formula reader positions: a bad
+# character after an earlier syntax error (the bad character is
+# reported), a digit before a name, a non-ASCII letter, an unclosed
+# parenthesis, and a half arrow in --then.
+FORMULA_ERRORS = [
+    ("--if", "A B @", "--then", "A"),
+    ("--if", "1A", "--then", "A"),
+    ("--if", "A é", "--then", "A"),
+    ("--if", "(A", "--then", "A"),
+    ("--if", "A", "--then", "A <- B"),
+]
+
+
 @dataclass(frozen=True)
 class Invocation:
     """``belieffusion COMMAND SCENARIO ARGS...``; an ``--out`` path in
@@ -97,15 +119,33 @@ class Invocation:
         return shlex.join([self.command, self.scenario, *self.args])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Outcome:
     """What one run left: its exit code (or a timeout), stdout, stderr,
-    and the ``--out`` file's bytes if it wrote one."""
+    and the ``--out`` file's bytes if it wrote one.
+
+    Outcomes are equal when their exit codes and the SHA-256 digests of
+    their streams are. ``digests`` holds one per stream, None for an
+    ``--out`` file not written; it is computed from the bytes when not
+    given. A stream whose digest is given may have been dropped, as None.
+    """
 
     exit: str
-    stdout: bytes
-    stderr: bytes
+    stdout: bytes | None
+    stderr: bytes | None
     out: bytes | None
+    digests: tuple[str | None, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.digests:
+            streams = (self.stdout, self.stderr, self.out)
+            digests = tuple(None if x is None else hashlib.sha256(x).hexdigest() for x in streams)
+            object.__setattr__(self, "digests", digests)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Outcome):
+            return NotImplemented
+        return (self.exit, self.digests) == (other.exit, other.digests)
 
     def streams(self) -> dict[str, bytes | None]:
         return {"exit": self.exit.encode(), "stdout": self.stdout, "stderr": self.stderr, "out": self.out}
@@ -278,6 +318,7 @@ def corpus() -> tuple[dict[str, bytes], list[Invocation]]:
     large, large_invocations = _large()
     loads.update(large)
     invocations += large_invocations
+    invocations += [Invocation("query", f"query-k8-{SEEDS[0]}.scn", ("--sources", "all", *f)) for f in FORMULA_ERRORS]
     mutations = _mutations()
     loads.update(mutations)
     invocations += [Invocation("validate", name) for name in mutations]
@@ -293,35 +334,65 @@ def corpus() -> tuple[dict[str, bytes], list[Invocation]]:
     return {**loads, **broken}, invocations
 
 
-def run(tree: pathlib.Path, inv: Invocation, corpus_dir: pathlib.Path) -> Outcome:
-    """One process of the CLI of ``tree`` in a fresh temporary directory."""
+def run(tree: pathlib.Path, inv: Invocation, corpus_dir: pathlib.Path, where: pathlib.Path) -> tuple[str, list]:
+    """One process of the CLI of ``tree``, in a fresh directory under
+    ``where``: its exit code (or a timeout), and the files that hold its
+    stdout, stderr and ``--out`` bytes (None if it wrote no ``--out``)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    with tempfile.TemporaryDirectory() as cwd:
-        argv = [sys.executable, "-m", "belieffusion.cli", inv.command, str(corpus_dir / inv.scenario), *inv.args]
+    cwd = where / "cwd"
+    cwd.mkdir(parents=True)
+    files = [where / "stdout", where / "stderr"]
+    argv = [sys.executable, "-m", "belieffusion.cli", inv.command, str(corpus_dir / inv.scenario), *inv.args]
+    with files[0].open("wb") as stdout, files[1].open("wb") as stderr:
         try:
-            done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=TIMEOUT_S)
+            done = subprocess.run(argv, cwd=cwd, env=env, stdout=stdout, stderr=stderr, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return Outcome(f"timeout after {TIMEOUT_S} s", b"", b"", None)
-        out = None
-        if "--out" in inv.args:
-            path = pathlib.Path(cwd, inv.args[inv.args.index("--out") + 1])
-            out = path.read_bytes() if path.exists() else None
-    return Outcome(str(done.returncode), done.stdout, done.stderr, out)
+            stdout.truncate(0)
+            stderr.truncate(0)
+            return f"timeout after {TIMEOUT_S} s", files + [None]
+    out = None
+    if "--out" in inv.args:
+        out = cwd / inv.args[inv.args.index("--out") + 1]
+    return str(done.returncode), files + [out if out is not None and out.exists() else None]
+
+
+def _outcome(code: str, files: list, whole: bool) -> Outcome:
+    """The outcome of a run from its files: every stream's digest, read
+    in chunks, and the bytes of those ``whole`` asks for or no longer
+    than ``KEEP``."""
+    digests, kept = [], []
+    for path in files:
+        digest = data = None
+        if path is not None:
+            h = hashlib.sha256()
+            with path.open("rb") as f:
+                for chunk in iter(lambda: f.read(1 << 20), b""):
+                    h.update(chunk)
+            digest = h.hexdigest()
+            if whole or path.stat().st_size <= KEEP:
+                data = path.read_bytes()
+        digests.append(digest)
+        kept.append(data)
+    return Outcome(code, *kept, digests=tuple(digests))
 
 
 def compare(
     parent: pathlib.Path, change: pathlib.Path, files: dict[str, bytes], invocations: list[Invocation]
 ) -> list[tuple[Invocation, Outcome, Outcome]]:
-    """Each invocation with its outcome on ``parent`` and on ``change``."""
+    """Each invocation with its outcome on ``parent`` and on ``change``;
+    only a differing pair keeps all its bytes."""
     with tempfile.TemporaryDirectory() as d:
         corpus_dir = pathlib.Path(d)
         for name, text in files.items():
             (corpus_dir / name).write_bytes(text)
 
         def both(inv: Invocation) -> tuple[Invocation, Outcome, Outcome]:
-            a, b = run(parent, inv, corpus_dir), run(change, inv, corpus_dir)
-            # keep one copy of equal outcomes: some are 100 MB of output
-            return inv, a, a if a == b else b
+            with tempfile.TemporaryDirectory() as scratch:
+                runs = [run(tree, inv, corpus_dir, pathlib.Path(scratch, side)) for side, tree in (("a", parent), ("b", change))]
+                a, b = (_outcome(*r, whole=False) for r in runs)
+                if a == b:
+                    return inv, a, a  # one copy of the bytes kept
+                return inv, *(_outcome(*r, whole=True) for r in runs)
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
             return list(pool.map(both, invocations))
